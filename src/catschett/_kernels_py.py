@@ -10,8 +10,6 @@ from catschett.statistics import (
     mnd,
     mne,
     mnw,
-    oar,
-    odr,
     pk_even,
     pk_odd,
 )
@@ -65,20 +63,6 @@ def _mnemnw321(n: int) -> dict:
     return table
 
 
-def _schett231(n: int) -> dict:
-    table: dict = {}
-    for p in avoiders(n, (2, 3, 1)):
-        _bump(table, (odr(p), oar(inverse(p))))
-    return table
-
-
-def _schett321(n: int) -> dict:
-    table: dict = {}
-    for p in avoiders(n, (3, 2, 1)):
-        _bump(table, (n - 2 * mne(p), n - 2 * mnw(inverse(p))))
-    return table
-
-
 _KINDS = {
     "runs321": _runs321,
     "compdyck": _compdyck,
@@ -86,8 +70,6 @@ _KINDS = {
     "lpk321": lambda n: _lpkpk(n, (3, 2, 1)),
     "mndmna231": _mndmna231,
     "mnemnw321": _mnemnw321,
-    "schett231": _schett231,
-    "schett321": _schett321,
 }
 
 

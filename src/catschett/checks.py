@@ -596,16 +596,22 @@ CHECK_NAMES = tuple(_CHECKS) + ("all",)
 
 def run_check(name: str, n: int | None = None, order: int | None = None,
               jobs: int | None = None) -> CheckResult:
-    """Run one named check with optional size/order overrides."""
+    """Run one named check with optional size/order overrides.
+
+    An override the check takes must lie in 0..enumeration_bound, else ValueError.
+    """
     if name == "all":
         return run_all(n=n, order=order, jobs=jobs)
     if name not in _CHECKS:
         raise KeyError(f"unknown check: {name!r}")
     params = dict(config.check_params(name))
-    if n is not None and "n" in params:
-        params["n"] = n
-    if order is not None and "order" in params:
-        params["order"] = order
+    bound = config.enumeration_bound()
+    for key, value in (("n", n), ("order", order)):
+        if value is None or key not in params:
+            continue  # an override the check does not take is ignored
+        if not 0 <= value <= bound:
+            raise ValueError(f"{key} must lie in 0..{bound} (the enumeration bound), got {value}")
+        params[key] = value
     start = time.perf_counter()
     result = _CHECKS[name](params)
     result.wall_time_ms = (time.perf_counter() - start) * 1000.0

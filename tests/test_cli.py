@@ -155,6 +155,15 @@ def test_verify_unknown_check_is_usage_error():
     assert run_cli("verify").returncode == 2
 
 
+def test_verify_out_of_range_override_is_usage_error():
+    for args in (("thm1.3", "--n", "-1"), ("thm1.3", "--n", "99"),
+                 ("eq:G", "--order", "-1")):
+        out = run_cli("verify", *args)
+        assert out.returncode == 2, args
+        assert "PASS" not in out.stdout
+        assert "enumeration bound" in out.stderr
+
+
 def test_verify_json_deterministic():
     first = run_cli("verify", "eq:eo", "--order", "6", "--format", "json")
     second = run_cli("verify", "eq:eo", "--order", "6", "--format", "json")

@@ -1,8 +1,4 @@
-"""Statistic-table kernels: backend parity and environment switches."""
-
-import os
-import subprocess
-import sys
+"""Statistic tables: the prefix-state counters against enumeration, and the shared cache."""
 
 import pytest
 
@@ -12,8 +8,7 @@ from catschett.objects.permutations import catalan
 
 def test_table_kinds_listing():
     assert set(kernels.TABLE_KINDS) == {
-        "runs321", "compdyck", "lpkpk231", "lpk321",
-        "mndmna231", "mnemnw321", "schett231", "schett321"}
+        "runs321", "compdyck", "lpkpk231", "lpk321", "mndmna231", "mnemnw321"}
 
 
 def test_unknown_kind_rejected():
@@ -31,27 +26,20 @@ def test_tables_total_catalan():
 
 @pytest.mark.parametrize("kind", sorted(_kernels_py._KINDS))
 def test_backend_parity_small(kind):
-    for n in range(9):
+    # the counted kinds against the enumeration oracle; the others are enumerated
+    for n in range(11):
         assert dict(kernels.stat_table(kind, n)) == _kernels_py.stat_table_pure(kind, n)
 
 
-def test_backend_parity_spot_large():
-    try:
-        from catschett import _speedups
-    except ImportError:
-        pytest.skip("compiled speedups not built")
-    for kind in ("runs321", "compdyck"):
-        fast = _speedups.stat_table_fast(kind, 10)
-        assert dict(fast) == _kernels_py.stat_table_pure(kind, 10)
-
-
-def test_pure_env_switch():
-    code = ("import catschett.kernels as k; "
-            "print(k.backend_name())")
-    env = dict(os.environ, CATSCHETT_PURE="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "pure"
+def test_tables_are_read_only():
+    table = kernels.stat_table("runs321", 5)
+    before = dict(table)
+    key = next(iter(before))
+    with pytest.raises(TypeError):
+        table[key] = 0
+    with pytest.raises(TypeError):
+        table[(99, 99, 0, 0)] = 1
+    assert dict(kernels.stat_table("runs321", 5)) == before
 
 
 def test_empty_size_conventions():

@@ -598,8 +598,11 @@ def run_check(name: str, n: int | None = None, order: int | None = None,
               jobs: int | None = None) -> CheckResult:
     """Run one named check with optional size/order overrides.
 
-    An override the check takes must lie in 0..enumeration_bound, else ValueError.
+    An override the check takes must lie in 0..enumeration_bound, and ``jobs``
+    must be at least 1, else ValueError.
     """
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if name == "all":
         return run_all(n=n, order=order, jobs=jobs)
     if name not in _CHECKS:
@@ -625,11 +628,11 @@ def _run_for_pool(args: tuple) -> CheckResult:
 
 def run_all(n: int | None = None, order: int | None = None,
             jobs: int | None = None) -> CheckResult:
-    """Run every named check and aggregate, optionally fanning out over processes."""
+    """Run every named check and aggregate, fanning out over at most one process per check."""
     names = list(_CHECKS)
     start = time.perf_counter()
     if jobs is not None and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
             subresults = list(pool.map(_run_for_pool, [(nm, n, order) for nm in names]))
     else:
         subresults = [run_check(nm, n=n, order=order) for nm in names]

@@ -13,18 +13,48 @@ def _defaults() -> dict:
     return json.loads(text)
 
 
+def _require_int(value, where: str, bound: int | None = None) -> int:
+    # bool is an int subclass, but true/false is never a bound
+    if type(value) is not int:
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    if bound is not None and not 0 <= value <= bound:
+        raise ValueError(f"{where} must lie in 0..{bound} (the enumeration bound), got {value}")
+    return value
+
+
 @lru_cache(maxsize=4)
 def _load(path: str | None) -> dict:
+    """Defaults overlaid with the file at ``path``; a malformed overlay raises ValueError."""
     cfg = _defaults()
     if path:
-        with open(path, encoding="utf-8") as fh:
-            user = json.load(fh)
+        where = f"{ENV_VAR} file {path}"
+        try:
+            with open(path, encoding="utf-8") as fh:
+                user = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"{where}: {exc.strerror}") from None
+        if not isinstance(user, dict):
+            raise ValueError(f"{where}: expected a JSON object")
+        unknown = sorted(set(user) - {"enumeration_bound", "checks"})
+        if unknown:
+            raise ValueError(f"{where}: unknown keys {unknown}")
         if "enumeration_bound" in user:
-            cfg["enumeration_bound"] = int(user["enumeration_bound"])
-        for name, params in user.get("checks", {}).items():
-            merged = dict(cfg["checks"].get(name, {}))
-            merged.update(params)
-            cfg["checks"][name] = merged
+            cfg["enumeration_bound"] = _require_int(
+                user["enumeration_bound"], f"{where}: enumeration_bound")
+        checks = user.get("checks", {})
+        if not isinstance(checks, dict):
+            raise ValueError(f"{where}: 'checks' must be a JSON object")
+        for name, params in checks.items():
+            defaults = cfg["checks"].get(name)
+            if defaults is None:
+                raise ValueError(f"{where}: unknown check {name!r}")
+            if not isinstance(params, dict):
+                raise ValueError(f"{where}: parameters of {name!r} must be a JSON object")
+            for key, value in params.items():
+                if key not in defaults:
+                    raise ValueError(f"{where}: check {name!r} takes no parameter {key!r}")
+                defaults[key] = _require_int(value, f"{where}: {name}.{key}",
+                                             cfg["enumeration_bound"])
     return cfg
 
 

@@ -109,7 +109,10 @@ def standardize(word: Iterable[int]) -> Perm:
 
 
 def contains(p: Perm, pattern: Perm) -> bool:
-    """Test classical pattern containment by scanning value subsequences."""
+    """Test classical pattern containment by scanning value subsequences.
+
+    O(n^k): the brute-force oracle for any pattern length; ``avoids`` is the fast test.
+    """
     k = len(pattern)
     if k == 0:
         return True
@@ -149,18 +152,68 @@ def _occurs_3_14_2(p: Perm) -> bool:
     return False
 
 
+def _avoids_231(word: Iterable[int]) -> bool:
+    # Knuth's stack sort: a value popped by a larger incoming value becomes the
+    # floor, and any later value below the floor closes a 231.
+    stack: list[int] = []
+    floor = -math.inf
+    for v in word:
+        if v < floor:
+            return False
+        while stack and stack[-1] < v:
+            floor = stack.pop()
+        stack.append(v)
+    return True
+
+
+def _avoids_321(word: Iterable[int]) -> bool:
+    # A word avoids 321 iff its values that are not left-to-right maxima increase.
+    high = low = -math.inf
+    for v in word:
+        if v > high:
+            high = v
+        elif v < low:
+            return False
+        else:
+            low = v
+    return True
+
+
+# Each length-3 scan reduces to 231 or 321 by reversal and complementation; the
+# complement is taken by negation, so any sequence of distinct numbers works.
+_CLASSICAL_SCANS = {
+    (1, 2, 3): lambda w: _avoids_321(-v for v in w),
+    (1, 3, 2): lambda w: _avoids_231(reversed(w)),
+    (2, 1, 3): lambda w: _avoids_231(-v for v in w),
+    (2, 3, 1): _avoids_231,
+    (3, 1, 2): lambda w: _avoids_231(-v for v in reversed(w)),
+    (3, 2, 1): _avoids_321,
+}
+
+_VINCULAR_SCANS = {
+    "2-41-3": lambda w: not _occurs_2_41_3(w),
+    "3-14-2": lambda w: not _occurs_3_14_2(w),
+}
+
+
 def avoids(p: Perm, pattern) -> bool:
-    """Test avoidance of a length-3 classical pattern or a vincular tag."""
+    """Test avoidance of a length-3 classical pattern or a vincular tag in O(n).
+
+    ``p`` is any sequence of distinct numbers; a repeated value raises ValueError.
+    """
     if isinstance(pattern, str):
-        if pattern == "2-41-3":
-            return not _occurs_2_41_3(p)
-        if pattern == "3-14-2":
-            return not _occurs_3_14_2(p)
-        raise ValueError(f"unsupported vincular pattern: {pattern!r}")
-    pat = tuple(pattern)
-    if pat not in CLASSICAL_PATTERNS:
-        raise ValueError(f"unsupported classical pattern: {pat}")
-    return not contains(p, pat)
+        scan = _VINCULAR_SCANS.get(pattern)
+        if scan is None:
+            raise ValueError(f"unsupported vincular pattern: {pattern!r}")
+    else:
+        pat = tuple(pattern)
+        scan = _CLASSICAL_SCANS.get(pat)
+        if scan is None:
+            raise ValueError(f"unsupported classical pattern: {pat}")
+    w = tuple(p)
+    if len(set(w)) != len(w):
+        raise ValueError(f"values must be distinct: {w}")
+    return scan(w)
 
 
 def is_baxter(p: Perm) -> bool:

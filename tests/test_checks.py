@@ -103,6 +103,42 @@ def test_aggregate_fanout_matches_serial():
     assert json.dumps(serial.payload()) == json.dumps(fanned.payload())
 
 
+def test_aggregate_caps_workers_at_number_of_checks(monkeypatch):
+    recorded = []
+
+    class SerialPool:
+        """Stands in for the process pool: records its size, runs in this process."""
+
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    def trivial(params):
+        return checks.CheckResult("trivial", params, True, "ok")
+
+    monkeypatch.setattr(checks, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(checks, "_CHECKS", {"thm1.3": trivial, "eq:G": trivial})
+    assert checks.run_check("all", jobs=64).passed
+    assert checks.run_check("all", jobs=2).passed
+    assert recorded == [2, 2]
+    assert checks.run_check("all", jobs=1).passed
+    assert recorded == [2, 2]
+
+
+def test_jobs_below_one_rejected():
+    for jobs in (0, -5):
+        with pytest.raises(ValueError, match="jobs"):
+            checks.run_check("all", jobs=jobs)
+
+
 def test_override_only_applies_to_matching_parameter():
     r = checks.run_check("thm1.2i", n=5, order=99)
     assert r.params == {"n": 5}

@@ -1,17 +1,27 @@
 """Command-line interface: subcommands, formats, and the exit-code contract."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
+from catschett import config
 from catschett.objects.permutations import catalan
 
 CLI = [sys.executable, "-m", "catschett.cli"]
 
+PINNED = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pinned.json"
 
-def run_cli(*args, stdin=None):
+
+def run_cli(*args, stdin=None, config_path=None):
+    env = None
+    if config_path is not None:
+        env = {**os.environ, config.ENV_VAR: str(config_path)}
     return subprocess.run(CLI + list(args), input=stdin,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def test_enumerate_avoiders():
@@ -190,3 +200,66 @@ def test_verify_multiple_checks():
     body = json.loads(out.stdout)
     assert [row["check"] for row in body] == ["lem3.1", "eq:G"]
     assert out.returncode == 0
+
+
+def test_verify_jobs_below_one_is_usage_error():
+    for args in (("all", "--jobs", "0"), ("all", "--jobs", "-5"), ("thm1.3", "--jobs", "0")):
+        out = run_cli("verify", *args)
+        assert out.returncode == 2, args
+        assert out.stdout == ""
+        assert "jobs must be at least 1" in out.stderr
+
+
+MALFORMED_OVERLAYS = {
+    "unknown-check": {"checks": {"thm9.9": {"n": 5}}},
+    "unknown-parameter": {"checks": {"thm1.3": {"order": 5}}},
+    "float-value": {"checks": {"thm1.3": {"n": 5.0}}},
+    "string-value": {"checks": {"eq:G": {"order": "8"}}},
+    "bool-value": {"checks": {"thm1.3": {"n": True}}},
+    "negative-value": {"checks": {"thm1.2ii": {"n": -4}}},
+    "value-above-bound": {"enumeration_bound": 8, "checks": {"eq:G": {"order": 9}}},
+    "string-bound": {"enumeration_bound": "12"},
+    "bool-bound": {"enumeration_bound": False},
+    "unknown-top-level-key": {"enumeration_bund": 12},
+    "checks-not-an-object": {"checks": [["thm1.3", 5]]},
+}
+
+
+@pytest.mark.parametrize("label", sorted(MALFORMED_OVERLAYS))
+def test_config_overlay_rejects_malformed_entries(tmp_path, label):
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps(MALFORMED_OVERLAYS[label]))
+    with pytest.raises(ValueError, match=config.ENV_VAR):
+        config._load(str(path))
+
+
+def test_verify_malformed_config_overlay_is_usage_error(tmp_path):
+    for label in ("unknown-check", "bool-value", "negative-value", "string-bound"):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(MALFORMED_OVERLAYS[label]))
+        out = run_cli("verify", "thm1.2ii", "--n", "3", config_path=path)
+        assert out.returncode == 2, label
+        assert "PASS" not in out.stdout
+        assert config.ENV_VAR in out.stderr
+    out = run_cli("verify", "thm1.2ii", config_path=tmp_path / "missing.json")
+    assert out.returncode == 2
+    assert config.ENV_VAR in out.stderr
+
+
+def test_config_overlay_merges_valid_entries(tmp_path):
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps({"checks": {"thm1.3": {"n": 7}, "cor2.6": {"baxter_n": 5}}}))
+    cfg = config._load(str(path))
+    defaults = config._load(None)
+    assert cfg["checks"]["thm1.3"] == {"n": 7}
+    assert cfg["checks"]["cor2.6"] == {"n": defaults["checks"]["cor2.6"]["n"], "baxter_n": 5}
+    assert cfg["enumeration_bound"] == defaults["enumeration_bound"]
+    assert cfg["checks"]["eq:G"] == defaults["checks"]["eq:G"]
+
+
+def test_benchmark_pinned_config_loads():
+    pinned = json.loads(PINNED.read_text())
+    cfg = config._load(str(PINNED))
+    assert cfg["enumeration_bound"] == pinned["enumeration_bound"]
+    for name, params in pinned["checks"].items():
+        assert cfg["checks"][name] == params

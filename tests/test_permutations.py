@@ -1,10 +1,13 @@
 """Permutation object layer: counting, avoidance, decompositions, serialization."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catschett.bijections import eta_inv, psi_kratt, upsilon
 from catschett.objects.permutations import (
+    VINCULAR_PATTERNS,
+    all_permutations,
     avoiders,
     avoids,
     baxter_permutations,
@@ -78,6 +81,80 @@ def test_avoidance_spot_values():
     assert avoids((1, 4, 3, 2, 9, 5, 7, 6, 8), (2, 3, 1))
     assert not avoids((2, 3, 1), (2, 3, 1))
     assert avoids((2, 4, 5, 1, 3, 6, 8, 7, 9), (3, 2, 1))
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_avoids_matches_subset_scan_exhaustively(pattern):
+    for n in range(9):
+        for p in all_permutations(n):
+            assert avoids(p, pattern) == (not contains(p, pattern)), (p, pattern)
+
+
+@st.composite
+def distinct_words(draw):
+    """Distinct integers of length <= 40, biased towards avoiders and near-avoiders."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    shape = draw(st.sampled_from(("stack", "two-increasing", "any")))
+    if shape == "stack":
+        # pushing 1..n through a stack at random outputs a 312-avoider
+        word, stack, nxt = [], [], 1
+        while len(word) < n:
+            if nxt <= n and (not stack or draw(st.booleans())):
+                stack.append(nxt)
+                nxt += 1
+            else:
+                word.append(stack.pop())
+    elif shape == "two-increasing":
+        # a merge of two increasing runs avoids 321
+        in_first = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        first = [v for v, f in zip(range(1, n + 1), in_first) if f]
+        second = [v for v, f in zip(range(1, n + 1), in_first) if not f]
+        word = []
+        while first or second:
+            take_first = first and (not second or draw(st.booleans()))
+            word.append((first if take_first else second).pop(0))
+    else:
+        word = list(draw(st.permutations(range(1, n + 1))))
+    if draw(st.booleans()):
+        word.reverse()
+    if draw(st.booleans()):
+        word = [n + 1 - v for v in word]
+    if n >= 2 and draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        word[i], word[j] = word[j], word[i]
+    # relabel order-isomorphically onto arbitrary distinct integers, [1, n] not required
+    values = sorted(draw(st.sets(st.integers(min_value=-10**6, max_value=10**6),
+                                 min_size=n, max_size=n)))
+    return tuple(values[v - 1] for v in word)
+
+
+@settings(deadline=None)
+@given(distinct_words())
+def test_avoids_matches_subset_scan_on_distinct_words(word):
+    for pattern in PATTERNS:
+        assert avoids(word, pattern) == (not contains(word, pattern)), (word, pattern)
+
+
+def test_avoids_input_contract():
+    for pattern in PATTERNS + VINCULAR_PATTERNS:
+        for word in ((1, 1), (2, 1, 2), (5, 3, 1, 3)):
+            with pytest.raises(ValueError, match="distinct"):
+                avoids(word, pattern)
+    for pattern in ((1, 2), (1, 2, 3, 4), (1, 1, 2), "2-14-3"):
+        with pytest.raises(ValueError, match="unsupported"):
+            avoids((1, 2, 3), pattern)
+    assert avoids((), (2, 3, 1)) and avoids((7,), (3, 2, 1))
+    assert not avoids((2, 5, 1, 4), "2-41-3") and not avoids((3, 1, 4, 2), "3-14-2")
+
+
+def test_map_guards_reject_pattern_occurrences():
+    with pytest.raises(ValueError, match="321"):
+        psi_kratt((3, 2, 1))
+    with pytest.raises(ValueError, match="312"):
+        eta_inv((3, 1, 2))
+    with pytest.raises(ValueError, match="231"):
+        upsilon((2, 3, 1))
 
 
 def test_baxter_spot_values():

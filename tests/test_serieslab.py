@@ -1,5 +1,9 @@
 """Series laboratory: exact ring operations, frozen coefficients, residual systems."""
 
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from catschett.objects.permutations import catalan
@@ -100,6 +104,16 @@ def test_appendix_coefficients_checksum():
     coeffs = residuals.load_appendix_coefficients()
     assert "alg_gf1_a0" in coeffs
     assert "alg_gf2_b6" in coeffs
+
+
+def test_appendix_coefficients_rebuild_from_source_script(tmp_path):
+    pytest.importorskip("sympy")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    dest = tmp_path / "appendix_coefficients.json"
+    subprocess.run([sys.executable, str(root / "tools" / "expand_appendix.py"), str(dest)],
+                   check=True, capture_output=True)
+    packaged = root / "src" / "catschett" / "serieslab" / "appendix_coefficients.json"
+    assert dest.read_bytes() == packaged.read_bytes()
 
 
 def test_first_failure_localizes():

@@ -4,9 +4,10 @@ The degree-4 equation for G(t,x,y), the degree-6 equation for M(t,x,y), the
 quartic for A(t,x) = G(t,x,1), and the quadratic for the ascending-run
 enumerator B(t,x) = G(t,x,x) all have coefficients given in factored form.
 This script transcribes those factored forms, expands them with sympy, and
-emits ``src/catschett/serieslab/appendix_coefficients.json`` holding each
-coefficient as a sorted list of [t-degree, x-degree, y-degree, integer]
-entries plus a checksum, so the transcription is reviewable as data.
+emits ``src/catschett/serieslab/appendix_coefficients.json`` (or the path given
+as its one optional argument) holding each coefficient as a sorted list of
+[t-degree, x-degree, y-degree, integer] entries plus a checksum, so the
+transcription is reviewable as data.
 
 Multiple readings are kept wherever the printed source is ambiguous or fails
 the residual test against the enumerated series:
@@ -24,6 +25,7 @@ The library evaluates every reading against enumerated series and reports
 which passes; nothing here decides that.
 """
 
+import argparse
 import hashlib
 import json
 import pathlib
@@ -572,12 +574,19 @@ def to_monomials(expr) -> list[list[int]]:
     return rows
 
 
+DEFAULT_DEST = (pathlib.Path(__file__).resolve().parent.parent
+                / "src" / "catschett" / "serieslab" / "appendix_coefficients.json")
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Expand the appendix coefficients to JSON.")
+    parser.add_argument("dest", nargs="?", type=pathlib.Path, default=DEFAULT_DEST,
+                        help="output path (default: the packaged appendix_coefficients.json)")
+    dest = parser.parse_args().dest
     data = {name: to_monomials(expr) for name, expr in POLYNOMIALS.items()}
     payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
     checksum = hashlib.sha256(payload.encode()).hexdigest()
     out = {"coefficients": data, "sha256": checksum}
-    dest = pathlib.Path(__file__).resolve().parent.parent / "src" / "catschett" / "serieslab" / "appendix_coefficients.json"
     dest.write_text(json.dumps(out, sort_keys=True, indent=1) + "\n")
     print(f"wrote {dest} ({len(data)} polynomials, sha256 {checksum[:16]}...)")
 

@@ -5,27 +5,12 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 
 from catschett import config
-from catschett.bijections import (
-    gamma,
-    gamma_theta,
-    phi_cap,
-    phi_cap_inv,
-    psi_cap,
-    psi_cap_inv,
-    psi_kratt,
-    psi_kratt_inv,
-    tau,
-    tau_inv,
-    theta,
-    theta_inv,
-    upsilon,
-    upsilon_inv,
-    vartheta,
-    vartheta_inv,
-)
+from catschett.bijections import gamma, gamma_theta, upsilon, vartheta
 from catschett.kernels import stat_table
+from catschett.maps import transport_map
 from catschett.objects.paths import (
     hor_set,
     platform_multiset,
@@ -48,7 +33,6 @@ from catschett.objects.trees import (
     plane_trees,
     right_arm,
     right_chain_orders,
-    serialize_binary_tree,
     serialize_plane_tree,
 )
 from catschett.schett import catalan_schett
@@ -119,12 +103,73 @@ def _fail(check: str, params: dict, detail: str,
     return CheckResult(check, params, False, detail, counterexample)
 
 
+def _marginal(kind: str, n: int, key) -> dict:
+    """Counts of ``stat_table(kind, n)`` summed over the rows with equal ``key(row)``."""
+    counts: dict = {}
+    for row, c in stat_table(kind, n).items():
+        k = key(row)
+        counts[k] = counts.get(k, 0) + c
+    return counts
+
+
+def _equidistributed(check: str, params: dict, what: str, left: tuple,
+                     right: tuple) -> CheckResult | None:
+    """The first size n <= params["n"] where two (kind, key) marginals differ, as a failure."""
+    (lkind, lkey), (rkind, rkey) = left, right
+    for n in range(params["n"] + 1):
+        lhs, rhs = _marginal(lkind, n, lkey), _marginal(rkind, n, rkey)
+        if lhs != rhs:
+            return _fail(check, params, f"{what} at n={n}",
+                         f"n={n}: {sorted(lhs.items())} vs {sorted(rhs.items())}")
+    return None
+
+
+def _transport(check: str, params: dict, name: str, carries, *, start: int = 0,
+               member=None, noun: str = "images", codomain=None) -> CheckResult | None:
+    """Run the registered map ``name`` over its domain for sizes start..params["n"].
+
+    Per object, in order: ``member(y, n)`` (a failure detail or None), injectivity,
+    the round trip, then ``carries(x, y)`` (None, or a (detail, note) pair for a
+    statistic the map does not carry).  Per size, the image must have Catalan many
+    elements (counted as ``noun``), or, when ``codomain`` is given, equal the whole
+    of ``codomain(n)``, the dominated walk pairs.
+    Returns the first failure, with the domain object rendered as counterexample.
+    """
+    tmap = transport_map(name)
+    forward, back, render = tmap.forward, tmap.inverse, tmap.render_domain
+    for n in range(start, params["n"] + 1):
+        image: set = set()
+        for x in tmap.domain(n):
+            y = forward(x)
+            if member is not None:
+                outside = member(y, n)
+                if outside is not None:
+                    return _fail(check, params, outside, render(x))
+            if y in image:
+                return _fail(check, params, f"map not injective at n={n}", render(x))
+            image.add(y)
+            if back(y) != x:
+                return _fail(check, params, f"round-trip fails at n={n}", render(x))
+            lost = carries(x, y)
+            if lost is not None:
+                detail, note = lost
+                return _fail(check, params, f"{detail} at n={n}",
+                             f"{render(x)}: {note}" if note else render(x))
+        if codomain is not None:
+            if image != set(codomain(n)):
+                return _fail(check, params, f"image is not all dominated walk pairs at n={n}",
+                             f"n={n}: {len(image)} images, "
+                             f"{sum(1 for _ in codomain(n))} walk pairs")
+        elif len(image) != catalan(n):
+            return _fail(check, params, f"image size wrong at n={n}",
+                         f"n={n}: {len(image)} {noun}, expected {catalan(n)}")
+    return None
+
+
 def _check_thm12i(params: dict) -> CheckResult:
     nmax = params["n"]
     for n in range(nmax + 1):
-        counts: dict[tuple[int, int], int] = {}
-        for (d, a, _ai), c in stat_table("mndmna231", n).items():
-            counts[a, d] = counts.get((a, d), 0) + c
+        counts = _marginal("mndmna231", n, itemgetter(1, 0))
         for (a, d), c in sorted(counts.items()):
             if counts.get((d, a), 0) != c:
                 return _fail(
@@ -141,9 +186,7 @@ def _check_thm12ii(params: dict) -> CheckResult:
         return _fail("thm1.2ii", params, "closed form fails spot value n=3, k=1",
                      f"refined_catalan(3, 1) = {refined_catalan(3, 1)}, expected 4")
     for n in range(nmax + 1):
-        dist: dict[int, int] = {}
-        for (d, _a, _ai), c in stat_table("mndmna231", n).items():
-            dist[d] = dist.get(d, 0) + c
+        dist = _marginal("mndmna231", n, itemgetter(0))
         for k in range(n // 2 + 1):
             if dist.get(k, 0) != refined_catalan(n, k):
                 return _fail(
@@ -188,193 +231,106 @@ def _check_thm13(params: dict) -> CheckResult:
                f"run-to-chain transport and (mnd, mna o inv) = (X, Y) hold for n <= {nmax}")
 
 
+def _marks_to_mnd(t, p):
+    marks, d = mark_count(t), mnd(p)
+    if marks != d:
+        return "marked-node count differs from mnd", f"marks {marks}, mnd {d}"
+    return None
+
+
+def _sized_231(p, n: int) -> str | None:
+    ok = len(p) == n and avoids(p, (2, 3, 1))
+    return None if ok else f"image is not a 231-avoider of size {n}"
+
+
 def _check_thm14(params: dict) -> CheckResult:
-    nmax = params["n"]
-    for n in range(nmax + 1):
-        seen: set = set()
-        for t in plane_trees(n):
-            p = vartheta(t)
-            if len(p) != n or not avoids(p, (2, 3, 1)):
-                return _fail("thm1.4", params,
-                             f"image is not a 231-avoider of size {n}", serialize_plane_tree(t))
-            if p in seen:
-                return _fail("thm1.4", params, f"map not injective at n={n}",
-                             serialize_plane_tree(t))
-            seen.add(p)
-            if vartheta_inv(p) != t:
-                return _fail("thm1.4", params, f"round-trip fails at n={n}",
-                             serialize_plane_tree(t))
-            if mark_count(t) != mnd(p):
-                return _fail(
-                    "thm1.4", params, f"marked-node count differs from mnd at n={n}",
-                    f"{serialize_plane_tree(t)}: marks {mark_count(t)}, mnd {mnd(p)}")
-        if len(seen) != catalan(n):
-            return _fail("thm1.4", params, f"image size wrong at n={n}",
-                         f"n={n}: {len(seen)} images, expected {catalan(n)}")
-    return _ok("thm1.4", params,
-               f"plane-tree map is a mark-to-mnd bijection onto 231-avoiders for n <= {nmax}")
+    return (_transport("thm1.4", params, "vartheta", _marks_to_mnd, member=_sized_231)
+            or _ok("thm1.4", params, "plane-tree map is a mark-to-mnd bijection onto "
+                                     f"231-avoiders for n <= {params['n']}"))
+
+
+def _left_peaks_kept(p, q):
+    before, after = left_peak_values(p), left_peak_values(q)
+    if before != after:
+        return "left-peak value set not preserved", f"LPK {sorted(before)} -> {sorted(after)}"
+    return None
+
+
+def _is_231(q, n: int) -> str | None:
+    return None if avoids(q, (2, 3, 1)) else f"image is not a 231-avoider at n={n}"
 
 
 def _check_thm15(params: dict) -> CheckResult:
-    nmax = params["n"]
-    for n in range(nmax + 1):
-        seen: set = set()
-        for p in avoiders(n, (3, 2, 1)):
-            q = psi_cap(p)
-            if not avoids(q, (2, 3, 1)):
-                return _fail("thm1.5", params, f"image is not a 231-avoider at n={n}",
-                             serialize_permutation(p))
-            if q in seen:
-                return _fail("thm1.5", params, f"map not injective at n={n}",
-                             serialize_permutation(p))
-            seen.add(q)
-            if psi_cap_inv(q) != p:
-                return _fail("thm1.5", params, f"round-trip fails at n={n}",
-                             serialize_permutation(p))
-            if left_peak_values(p) != left_peak_values(q):
-                return _fail(
-                    "thm1.5", params, f"left-peak value set not preserved at n={n}",
-                    f"{serialize_permutation(p)}: LPK {sorted(left_peak_values(p))} "
-                    f"-> {sorted(left_peak_values(q))}")
-        if len(seen) != catalan(n):
-            return _fail("thm1.5", params, f"image size wrong at n={n}",
-                         f"n={n}: {len(seen)} images, expected {catalan(n)}")
-        lpk231 = {}
-        lpk321 = {}
-        for (le, lo, _pe, _po), c in stat_table("lpkpk231", n).items():
-            lpk231[le, lo] = lpk231.get((le, lo), 0) + c
-        for (le, lo, _pe, _po), c in stat_table("lpk321", n).items():
-            lpk321[le, lo] = lpk321.get((le, lo), 0) + c
-        if lpk231 != lpk321:
-            return _fail("thm1.5", params,
-                         f"(lpk_e, lpk_o) distributions differ between classes at n={n}",
-                         f"n={n}: {sorted(lpk231.items())} vs {sorted(lpk321.items())}")
-    return _ok("thm1.5", params,
-               f"321-to-231 map preserves left-peak values and (lpk_e, lpk_o) for n <= {nmax}")
+    lpk = itemgetter(0, 1)
+    return (_transport("thm1.5", params, "Psi", _left_peaks_kept, member=_is_231)
+            or _equidistributed("thm1.5", params,
+                                "(lpk_e, lpk_o) distributions differ between classes",
+                                ("lpkpk231", lpk), ("lpk321", lpk))
+            or _ok("thm1.5", params, "321-to-231 map preserves left-peak values and "
+                                     f"(lpk_e, lpk_o) for n <= {params['n']}"))
+
+
+def _descents_to_walks(p, pair):
+    mu, nu = pair
+    if hor_set(nu) != descent_set(p):
+        return "descent set differs from lower-walk east set", None
+    if ver_set(mu) != ascent_set(inverse(p)):
+        return "inverse ascent set differs from upper-walk north set", None
+    return None
 
 
 def _check_thm23(params: dict) -> CheckResult:
-    nmax = params["n"]
-    for n in range(1, nmax + 1):
-        image: set = set()
-        for p in avoiders(n, (2, 3, 1)):
-            mu, nu = theta(p)
-            if (mu, nu) in image:
-                return _fail("thm2.3", params, f"map not injective at n={n}",
-                             serialize_permutation(p))
-            image.add((mu, nu))
-            if theta_inv((mu, nu)) != p:
-                return _fail("thm2.3", params, f"round-trip fails at n={n}",
-                             serialize_permutation(p))
-            if hor_set(nu) != descent_set(p):
-                return _fail("thm2.3", params,
-                             f"descent set differs from lower-walk east set at n={n}",
-                             serialize_permutation(p))
-            if ver_set(mu) != ascent_set(inverse(p)):
-                return _fail("thm2.3", params,
-                             f"inverse ascent set differs from upper-walk north set at n={n}",
-                             serialize_permutation(p))
-        if image != set(walk_pairs(n)):
-            return _fail("thm2.3", params, f"image is not all dominated walk pairs at n={n}",
-                         f"n={n}: {len(image)} images, "
-                         f"{sum(1 for _ in walk_pairs(n))} walk pairs")
-    return _ok("thm2.3", params,
-               f"231-avoider walk-pair map transports (DES, ASC o inv) for n <= {nmax}")
+    return (_transport("thm2.3", params, "theta", _descents_to_walks,
+                       start=1, codomain=walk_pairs)
+            or _ok("thm2.3", params, "231-avoider walk-pair map transports (DES, ASC o inv) "
+                                     f"for n <= {params['n']}"))
+
+
+def _excedances_to_walks(p, pair):
+    mu, nu = pair
+    if hor_set(nu) != excedance_set(p):
+        return "excedance set differs from lower-walk east set", None
+    if ver_set(mu) != weak_excedance_set_shifted(inverse(p)):
+        return "shifted weak excedances differ from upper-walk north set", None
+    return None
 
 
 def _check_thm213(params: dict) -> CheckResult:
-    nmax = params["n"]
-    for n in range(1, nmax + 1):
-        image: set = set()
-        for p in avoiders(n, (3, 2, 1)):
-            mu, nu = phi_cap(p)
-            if (mu, nu) in image:
-                return _fail("thm2.13", params, f"map not injective at n={n}",
-                             serialize_permutation(p))
-            image.add((mu, nu))
-            if phi_cap_inv((mu, nu)) != p:
-                return _fail("thm2.13", params, f"round-trip fails at n={n}",
-                             serialize_permutation(p))
-            if hor_set(nu) != excedance_set(p):
-                return _fail("thm2.13", params,
-                             f"excedance set differs from lower-walk east set at n={n}",
-                             serialize_permutation(p))
-            if ver_set(mu) != weak_excedance_set_shifted(inverse(p)):
-                return _fail("thm2.13", params,
-                             f"shifted weak excedances differ from upper-walk north set at n={n}",
-                             serialize_permutation(p))
-        if image != set(walk_pairs(n)):
-            return _fail("thm2.13", params, f"image is not all dominated walk pairs at n={n}",
-                         f"n={n}: {len(image)} images, "
-                         f"{sum(1 for _ in walk_pairs(n))} walk pairs")
-    for n in range(nmax + 1):
-        lhs: dict[tuple[int, int], int] = {}
-        rhs: dict[tuple[int, int], int] = {}
-        for (d, _a, ai), c in stat_table("mndmna231", n).items():
-            lhs[d, ai] = lhs.get((d, ai), 0) + c
-        for (e, w), c in stat_table("mnemnw321", n).items():
-            rhs[e, w] = rhs.get((e, w), 0) + c
-        if lhs != rhs:
-            return _fail("thm2.13", params,
-                         f"(mnd, mna o inv) on 231 differs from (mne, mnw o inv) on 321 at n={n}",
-                         f"n={n}: {sorted(lhs.items())} vs {sorted(rhs.items())}")
-    return _ok("thm2.13", params,
-               f"321-avoider walk-pair map transports excedance data and the joint "
-               f"(mnd, mna o inv) = (mne, mnw o inv) identity holds for n <= {nmax}")
+    return (_transport("thm2.13", params, "Phi", _excedances_to_walks,
+                       start=1, codomain=walk_pairs)
+            or _equidistributed("thm2.13", params,
+                                "(mnd, mna o inv) on 231 differs from (mne, mnw o inv) on 321",
+                                ("mndmna231", itemgetter(0, 2)), ("mnemnw321", itemgetter(0, 1)))
+            or _ok("thm2.13", params,
+                   "321-avoider walk-pair map transports excedance data and the joint "
+                   f"(mnd, mna o inv) = (mne, mnw o inv) identity holds for n <= {params['n']}"))
+
+
+def _runs_to_arms(p, t):
+    if idr(p) != left_arm(t):
+        return "initial descending run differs from left arm", None
+    if iar(inverse(p)) != right_arm(t):
+        return "inverse initial ascending run differs from right arm", None
+    return None
 
 
 def _check_lem22(params: dict) -> CheckResult:
-    nmax = params["n"]
-    for n in range(nmax + 1):
-        seen: set = set()
-        for p in avoiders(n, (2, 3, 1)):
-            t = upsilon(p)
-            if t in seen:
-                return _fail("lem2.2", params, f"map not injective at n={n}",
-                             serialize_permutation(p))
-            seen.add(t)
-            if upsilon_inv(t) != p:
-                return _fail("lem2.2", params, f"round-trip fails at n={n}",
-                             serialize_permutation(p))
-            if idr(p) != left_arm(t):
-                return _fail("lem2.2", params,
-                             f"initial descending run differs from left arm at n={n}",
-                             serialize_permutation(p))
-            if iar(inverse(p)) != right_arm(t):
-                return _fail("lem2.2", params,
-                             f"inverse initial ascending run differs from right arm at n={n}",
-                             serialize_permutation(p))
-        if len(seen) != catalan(n):
-            return _fail("lem2.2", params, f"image size wrong at n={n}",
-                         f"n={n}: {len(seen)} trees, expected {catalan(n)}")
-    return _ok("lem2.2", params,
-               f"231-avoider tree map is an arm-statistic bijection for n <= {nmax}")
+    return (_transport("lem2.2", params, "upsilon", _runs_to_arms, noun="trees")
+            or _ok("lem2.2", params, "231-avoider tree map is an arm-statistic bijection "
+                                     f"for n <= {params['n']}"))
+
+
+def _chains_to_platforms(t, w):
+    chains, platforms = sorted(left_chain_orders(t)), sorted(platform_multiset(w))
+    if chains != platforms:
+        return "left-chain orders differ from platform multiset", f"{chains} vs {platforms}"
+    return None
 
 
 def _check_lem28(params: dict) -> CheckResult:
-    nmax = params["n"]
-    for n in range(nmax + 1):
-        words: set = set()
-        for t in binary_trees(n):
-            w = tau(t)
-            if w in words:
-                return _fail("lem2.8", params, f"map not injective at n={n}",
-                             serialize_binary_tree(t))
-            words.add(w)
-            if tau_inv(w) != t:
-                return _fail("lem2.8", params, f"round-trip fails at n={n}",
-                             serialize_binary_tree(t))
-            if sorted(left_chain_orders(t)) != sorted(platform_multiset(w)):
-                return _fail(
-                    "lem2.8", params,
-                    f"left-chain orders differ from platform multiset at n={n}",
-                    f"{serialize_binary_tree(t)}: {sorted(left_chain_orders(t))} vs "
-                    f"{sorted(platform_multiset(w))}")
-        if len(words) != catalan(n):
-            return _fail("lem2.8", params, f"image size wrong at n={n}",
-                         f"n={n}: {len(words)} paths, expected {catalan(n)}")
-    return _ok("lem2.8", params,
-               f"binary-tree lattice-path map carries left chains to platforms for n <= {nmax}")
+    return (_transport("lem2.8", params, "tau", _chains_to_platforms, noun="paths")
+            or _ok("lem2.8", params, "binary-tree lattice-path map carries left chains to "
+                                     f"platforms for n <= {params['n']}"))
 
 
 def _platform_marks(word: str) -> tuple[set[int], set[int]]:
@@ -396,37 +352,23 @@ def _platform_marks(word: str) -> tuple[set[int], set[int]]:
     return final, penultimate
 
 
+def _excedances_to_platforms(p, w):
+    final, penultimate = _platform_marks(w)
+    nonexc = {i for i in range(1, len(p) + 1) if p[i - 1] <= i}
+    if final != nonexc:
+        return ("non-excedance positions differ from platform-final easts",
+                f"{sorted(nonexc)} vs {sorted(final)}")
+    descents = descent_set(p)
+    if penultimate != descents:
+        return ("descent positions differ from long-platform penultimate easts",
+                f"{sorted(descents)} vs {sorted(penultimate)}")
+    return None
+
+
 def _check_lem210(params: dict) -> CheckResult:
-    nmax = params["n"]
-    for n in range(nmax + 1):
-        words: set = set()
-        for p in avoiders(n, (3, 2, 1)):
-            w = psi_kratt(p)
-            if w in words:
-                return _fail("lem2.10", params, f"map not injective at n={n}",
-                             serialize_permutation(p))
-            words.add(w)
-            if psi_kratt_inv(w) != p:
-                return _fail("lem2.10", params, f"round-trip fails at n={n}",
-                             serialize_permutation(p))
-            final, penultimate = _platform_marks(w)
-            nonexc = {i for i in range(1, n + 1) if p[i - 1] <= i}
-            if final != nonexc:
-                return _fail(
-                    "lem2.10", params,
-                    f"non-excedance positions differ from platform-final easts at n={n}",
-                    f"{serialize_permutation(p)}: {sorted(nonexc)} vs {sorted(final)}")
-            if penultimate != set(descent_set(p)):
-                return _fail(
-                    "lem2.10", params,
-                    f"descent positions differ from long-platform penultimate easts at n={n}",
-                    f"{serialize_permutation(p)}: {sorted(descent_set(p))} vs "
-                    f"{sorted(penultimate)}")
-        if len(words) != catalan(n):
-            return _fail("lem2.10", params, f"image size wrong at n={n}",
-                         f"n={n}: {len(words)} paths, expected {catalan(n)}")
-    return _ok("lem2.10", params,
-               f"321-avoider lattice-path map marks non-excedances and descents for n <= {nmax}")
+    return (_transport("lem2.10", params, "psi", _excedances_to_platforms, noun="paths")
+            or _ok("lem2.10", params, "321-avoider lattice-path map marks non-excedances and "
+                                      f"descents for n <= {params['n']}"))
 
 
 def _check_lem218(params: dict) -> CheckResult:
@@ -445,20 +387,11 @@ def _check_lem218(params: dict) -> CheckResult:
 
 
 def _check_prop211(params: dict) -> CheckResult:
-    nmax = params["n"]
-    for n in range(nmax + 1):
-        lhs: dict[int, int] = {}
-        rhs: dict[int, int] = {}
-        for (d, _a, _ai), c in stat_table("mndmna231", n).items():
-            lhs[d] = lhs.get(d, 0) + c
-        for (e, _w), c in stat_table("mnemnw321", n).items():
-            rhs[e] = rhs.get(e, 0) + c
-        if lhs != rhs:
-            return _fail("prop2.11", params,
-                         f"mnd on 231-avoiders differs from mne on 321-avoiders at n={n}",
-                         f"n={n}: {sorted(lhs.items())} vs {sorted(rhs.items())}")
-    return _ok("prop2.11", params,
-               f"mnd over 231-avoiders is equidistributed with mne over 321-avoiders, n <= {nmax}")
+    return (_equidistributed("prop2.11", params,
+                             "mnd on 231-avoiders differs from mne on 321-avoiders",
+                             ("mndmna231", itemgetter(0)), ("mnemnw321", itemgetter(0)))
+            or _ok("prop2.11", params, "mnd over 231-avoiders is equidistributed with mne "
+                                       f"over 321-avoiders, n <= {params['n']}"))
 
 
 def _check_cor26(params: dict) -> CheckResult:
@@ -598,7 +531,7 @@ def run_check(name: str, n: int | None = None, order: int | None = None,
               jobs: int | None = None) -> CheckResult:
     """Run one named check with optional size/order overrides.
 
-    An override the check takes must lie in 0..enumeration_bound, and ``jobs``
+    An override the check takes must lie in 1..enumeration_bound, and ``jobs``
     must be at least 1, else ValueError.
     """
     if jobs is not None and jobs < 1:
@@ -612,8 +545,8 @@ def run_check(name: str, n: int | None = None, order: int | None = None,
     for key, value in (("n", n), ("order", order)):
         if value is None or key not in params:
             continue  # an override the check does not take is ignored
-        if not 0 <= value <= bound:
-            raise ValueError(f"{key} must lie in 0..{bound} (the enumeration bound), got {value}")
+        if not 1 <= value <= bound:
+            raise ValueError(f"{key} must lie in 1..{bound} (the enumeration bound), got {value}")
         params[key] = value
     start = time.perf_counter()
     result = _CHECKS[name](params)

@@ -7,46 +7,15 @@ import json
 import sys
 
 from catschett import config
-from catschett.bijections import (
-    eta,
-    eta_inv,
-    fz_history,
-    fz_history_inv,
-    gamma,
-    gamma_inv,
-    lin_fu_phi,
-    lin_fu_phi_inv,
-    phi_cap,
-    phi_cap_inv,
-    psi_cap,
-    psi_cap_inv,
-    psi_fz,
-    psi_fz_inv,
-    psi_kratt,
-    psi_kratt_inv,
-    tau,
-    tau_inv,
-    theta,
-    theta_inv,
-    upsilon,
-    upsilon_inv,
-    varsigma,
-    varsigma_inv,
-    vartheta,
-    vartheta_inv,
-)
 from catschett.checks import CHECK_NAMES, run_check
+from catschett.maps import ALIASES, transport_map, transport_maps
 from catschett.objects.paths import (
     dyck_paths,
     is_dyck_path,
     laguerre_histories,
     motzkin2_paths,
-    parse_laguerre_history,
-    parse_walk_pair,
-    parse_walk_triple,
     serialize_laguerre_history,
     serialize_walk_pair,
-    serialize_walk_triple,
     walk_pairs,
 )
 from catschett.objects.permutations import (
@@ -139,57 +108,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _as_str(x: str) -> str:
-    return x
-
-
-_MAP_TABLE = {
-    # name: (parse domain, forward, render image, parse image, inverse, render domain)
-    "upsilon": (parse_permutation, upsilon, serialize_binary_tree,
-                parse_binary_tree, upsilon_inv, serialize_permutation),
-    "theta": (parse_permutation, theta, serialize_walk_pair,
-              parse_walk_pair, theta_inv, serialize_permutation),
-    "tau": (parse_binary_tree, tau, _as_str,
-            _as_str, tau_inv, serialize_binary_tree),
-    "psi": (parse_permutation, psi_kratt, _as_str,
-            _as_str, psi_kratt_inv, serialize_permutation),
-    "phi": (parse_permutation, lin_fu_phi, _as_str,
-            _as_str, lin_fu_phi_inv, serialize_permutation),
-    "varsigma": (_as_str, varsigma, serialize_walk_pair,
-                 parse_walk_pair, varsigma_inv, _as_str),
-    "Phi": (parse_permutation, phi_cap, serialize_walk_pair,
-            parse_walk_pair, phi_cap_inv, serialize_permutation),
-    "eta": (parse_permutation, eta, serialize_permutation,
-            parse_permutation, eta_inv, serialize_permutation),
-    "psifz": (parse_permutation, psi_fz, serialize_permutation,
-              parse_permutation, psi_fz_inv, serialize_permutation),
-    "Psi": (parse_permutation, psi_cap, serialize_permutation,
-            parse_permutation, psi_cap_inv, serialize_permutation),
-    "vartheta": (parse_plane_tree, vartheta, serialize_permutation,
-                 parse_permutation, vartheta_inv, serialize_plane_tree),
-    "gamma": (parse_permutation, gamma, serialize_walk_triple,
-              parse_walk_triple, gamma_inv, serialize_permutation),
-    "fz": (parse_permutation, fz_history, serialize_laguerre_history,
-           parse_laguerre_history, lambda h: fz_history_inv(h[0], h[1]),
-           serialize_permutation),
-}
-
-_MAP_ALIASES = {
-    "υ": "upsilon", "θ": "theta", "τ": "tau", "ψ": "psi", "φ": "phi",
-    "ς": "varsigma", "Φ": "Phi", "η": "eta", "ψfz": "psifz", "Ψ": "Psi",
-    "ϑ": "vartheta", "γ": "gamma",
-}
-
-MAP_NAMES = tuple(_MAP_TABLE) + tuple(_MAP_ALIASES)
+MAP_NAMES = tuple(transport_maps()) + tuple(ALIASES)
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    name = _MAP_ALIASES.get(args.name, args.name)
-    parse_in, forward, render_out, parse_out, backward, render_in = _MAP_TABLE[name]
+    tmap = transport_map(args.name)
     if args.dir == "fwd":
-        parse, apply_fn, render = parse_in, forward, render_out
+        parse, apply_fn, render = tmap.parse_domain, tmap.forward, tmap.render_image
     else:
-        parse, apply_fn, render = parse_out, backward, render_in
+        parse, apply_fn, render = tmap.parse_image, tmap.inverse, tmap.render_domain
     for raw in sys.stdin:
         print(render(apply_fn(parse(raw.rstrip("\n")))))
     return 0
@@ -360,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_map = sub.add_parser("map", help="apply a named bijection to objects on stdin")
     p_map.add_argument("name", choices=MAP_NAMES, metavar="name",
-                       help="one of: " + ", ".join(_MAP_TABLE))
+                       help="one of: " + ", ".join(transport_maps()))
     p_map.add_argument("--dir", choices=("fwd", "inv"), default="fwd")
     p_map.set_defaults(func=cmd_map)
 

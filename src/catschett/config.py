@@ -13,21 +13,23 @@ def _defaults() -> dict:
     return json.loads(text)
 
 
-def _require_int(value, where: str, bound: int | None = None) -> int:
+def _require_int(value, where: str) -> int:
     # bool is an int subclass, but true/false is never a bound
     if type(value) is not int:
         raise ValueError(f"{where} must be an integer, got {value!r}")
-    if bound is not None and not 0 <= value <= bound:
-        raise ValueError(f"{where} must lie in 0..{bound} (the enumeration bound), got {value}")
     return value
 
 
 @lru_cache(maxsize=4)
 def _load(path: str | None) -> dict:
-    """Defaults overlaid with the file at ``path``; a malformed overlay raises ValueError."""
+    """Defaults overlaid with the file at ``path``; a malformed overlay raises ValueError.
+
+    Every size and order of the merged table must lie in 1..enumeration_bound,
+    so a lowered bound also holds the packaged defaults.
+    """
     cfg = _defaults()
+    where = f"{ENV_VAR} file {path}" if path else "packaged config_defaults.json"
     if path:
-        where = f"{ENV_VAR} file {path}"
         try:
             with open(path, encoding="utf-8") as fh:
                 user = json.load(fh)
@@ -53,8 +55,13 @@ def _load(path: str | None) -> dict:
             for key, value in params.items():
                 if key not in defaults:
                     raise ValueError(f"{where}: check {name!r} takes no parameter {key!r}")
-                defaults[key] = _require_int(value, f"{where}: {name}.{key}",
-                                             cfg["enumeration_bound"])
+                defaults[key] = _require_int(value, f"{where}: {name}.{key}")
+    bound = cfg["enumeration_bound"]
+    for name, params in cfg["checks"].items():
+        for key, value in params.items():
+            if not 1 <= value <= bound:
+                raise ValueError(f"{where}: {name}.{key} must lie in 1..{bound} "
+                                 f"(the enumeration bound), got {value}")
     return cfg
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from catschett import checks
+from catschett import checks, maps
 
 ENUM_CHECKS = ("thm1.2i", "thm1.2ii", "thm1.3", "thm1.4", "thm1.5", "thm2.3",
                "thm2.13", "lem2.2", "lem2.8", "lem2.10", "lem2.18", "prop2.11",
@@ -144,3 +144,126 @@ def test_override_only_applies_to_matching_parameter():
     assert r.params == {"n": 5}
     s = checks.run_check("eq:G", n=99, order=7)
     assert s.params == {"order": 7}
+
+
+def _drop(n0, i0):
+    """A domain generator without its i0-th object at size n0."""
+    return lambda f: (lambda n, *rest: (x for i, x in enumerate(f(n, *rest)) if (n, i) != (n0, i0)))
+
+
+def _bump(kind0, n0, key):
+    """stat_table counting one extra object at ``key`` in the (kind0, n0) table."""
+    def wrap(f):
+        def table(kind, n):
+            counts = f(kind, n)
+            if (kind, n) == (kind0, n0):
+                counts = dict(counts)
+                counts[key] = counts.get(key, 0) + 1
+            return counts
+        return table
+    return wrap
+
+
+def _add(value, match):
+    """A set-valued statistic with ``value`` added wherever ``match`` holds."""
+    return lambda f: (lambda x: f(x) | {value} if match(x) else f(x))
+
+
+# (check, n, module, name, wrapper, detail, counterexample): one injected defect each.
+# "maps" rebinds a map or a domain generator in the registry, "checks" a statistic
+# or stat_table as the checks read them.
+INJECTED_DEFECTS = [
+    ("thm1.4", 4, "maps", "vartheta",
+     lambda f: lambda t: (2, 3, 1) if f(t) == (3, 2, 1) else f(t),
+     "image is not a 231-avoider of size 3", "((())())"),
+    ("thm1.4", 4, "checks", "mnd", lambda f: lambda p: f(p) + (p == (2, 1, 3)),
+     "marked-node count differs from mnd at n=3", "(((()))): marks 1, mnd 2"),
+    ("thm1.4", 4, "maps", "plane_trees", _drop(3, 0),
+     "image size wrong at n=3", "n=3: 4 images, expected 5"),
+    ("thm1.5", 4, "maps", "psi_cap",
+     lambda f: lambda p: (2, 3, 1) if f(p) == (3, 2, 1) else f(p),
+     "image is not a 231-avoider at n=3", "3 1 2"),
+    ("thm1.5", 4, "maps", "psi_cap_inv",
+     lambda f: lambda q: (1, 2, 3) if f(q) == (2, 1, 3) else f(q),
+     "round-trip fails at n=3", "2 1 3"),
+    ("thm1.5", 4, "checks", "left_peak_values", _add(9, lambda p: p == (3, 1, 2)),
+     "left-peak value set not preserved at n=3", "2 3 1: LPK [3] -> [3, 9]"),
+    ("thm1.5", 4, "maps", "avoiders", _drop(3, 4),
+     "image size wrong at n=3", "n=3: 4 images, expected 5"),
+    ("thm1.5", 5, "checks", "stat_table", _bump("lpk321", 4, (0, 0, 0, 0)),
+     "(lpk_e, lpk_o) distributions differ between classes at n=4",
+     "n=4: [((0, 0), 1), ((0, 1), 3), ((1, 0), 8), ((1, 1), 1), ((2, 0), 1)] vs "
+     "[((0, 0), 2), ((0, 1), 3), ((1, 0), 8), ((1, 1), 1), ((2, 0), 1)]"),
+    ("thm2.3", 4, "maps", "theta", lambda f: lambda p: f((1, 2, 3)) if p == (1, 3, 2) else f(p),
+     "map not injective at n=3", "1 3 2"),
+    ("thm2.3", 4, "checks", "descent_set", _add(7, lambda p: p == (2, 1, 3)),
+     "descent set differs from lower-walk east set at n=3", "2 1 3"),
+    ("thm2.3", 4, "checks", "ascent_set", _add(7, lambda p: len(p) == 4),
+     "inverse ascent set differs from upper-walk north set at n=4", "1 2 3 4"),
+    ("thm2.3", 4, "maps", "avoiders", _drop(3, 1),
+     "image is not all dominated walk pairs at n=3", "n=3: 4 images, 5 walk pairs"),
+    ("thm2.13", 4, "maps", "phi_cap_inv",
+     lambda f: lambda pair: (1, 2, 3) if f(pair) == (1, 3, 2) else f(pair),
+     "round-trip fails at n=3", "1 3 2"),
+    ("thm2.13", 4, "checks", "excedance_set", _add(8, lambda p: p == (2, 1, 3)),
+     "excedance set differs from lower-walk east set at n=3", "2 1 3"),
+    ("thm2.13", 4, "checks", "weak_excedance_set_shifted", _add(8, lambda p: p == (1, 3, 2)),
+     "shifted weak excedances differ from upper-walk north set at n=3", "1 3 2"),
+    ("thm2.13", 4, "maps", "avoiders", _drop(4, 7),
+     "image is not all dominated walk pairs at n=4", "n=4: 13 images, 14 walk pairs"),
+    ("thm2.13", 5, "checks", "stat_table", _bump("mnemnw321", 3, (0, 0)),
+     "(mnd, mna o inv) on 231 differs from (mne, mnw o inv) on 321 at n=3",
+     "n=3: [((0, 1), 1), ((1, 0), 1), ((1, 1), 3)] vs "
+     "[((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((1, 1), 3)]"),
+    ("lem2.2", 4, "maps", "upsilon", lambda f: lambda p: f((1, 2, 3)) if p == (1, 3, 2) else f(p),
+     "map not injective at n=3", "1 3 2"),
+    ("lem2.2", 4, "checks", "idr", lambda f: lambda p: f(p) + (p == (3, 1, 2)),
+     "initial descending run differs from left arm at n=3", "3 1 2"),
+    ("lem2.2", 4, "checks", "iar", lambda f: lambda p: f(p) + (p == (1, 3, 2, 4)),
+     "inverse initial ascending run differs from right arm at n=4", "1 3 2 4"),
+    ("lem2.2", 4, "maps", "avoiders", _drop(3, 2),
+     "image size wrong at n=3", "n=3: 4 trees, expected 5"),
+    ("lem2.8", 4, "maps", "tau", lambda f: lambda t: "ENEN" if f(t) == "EENN" else f(t),
+     "map not injective at n=2", "((. .) .)"),
+    ("lem2.8", 4, "maps", "tau_inv", lambda f: lambda w: f("ENEN") if w == "EENN" else f(w),
+     "round-trip fails at n=2", "((. .) .)"),
+    ("lem2.8", 4, "checks", "platform_multiset",
+     lambda f: lambda w: f(w) + (1,) if w == "ENEENN" else f(w),
+     "left-chain orders differ from platform multiset at n=3",
+     "(. ((. .) .)): [1, 2] vs [1, 1, 2]"),
+    ("lem2.8", 4, "maps", "binary_trees", _drop(3, 3),
+     "image size wrong at n=3", "n=3: 4 paths, expected 5"),
+    ("lem2.10", 4, "maps", "psi_kratt",
+     lambda f: lambda p: f((1, 2, 3)) if p == (1, 3, 2) else f(p),
+     "map not injective at n=3", "1 3 2"),
+    ("lem2.10", 4, "checks", "descent_set", _add(5, lambda p: p == (2, 1, 4, 3)),
+     "descent positions differ from long-platform penultimate easts at n=4",
+     "2 1 4 3: [1, 3, 5] vs [1, 3]"),
+    ("lem2.10", 4, "checks", "_platform_marks",
+     lambda f: lambda w: ({1} | f(w)[0], f(w)[1]) if w == "EENENN" else f(w),
+     "non-excedance positions differ from platform-final easts at n=3",
+     "3 1 2: [2, 3] vs [1, 2, 3]"),
+    ("lem2.10", 4, "maps", "avoiders", _drop(4, 13),
+     "image size wrong at n=4", "n=4: 13 paths, expected 14"),
+    ("prop2.11", 5, "checks", "stat_table", _bump("mndmna231", 4, (0, 0, 0)),
+     "mnd on 231-avoiders differs from mne on 321-avoiders at n=4",
+     "n=4: [(0, 2), (1, 10), (2, 3)] vs [(0, 1), (1, 10), (2, 3)]"),
+    ("thm1.2i", 5, "checks", "stat_table", _bump("mndmna231", 3, (0, 1, 0)),
+     "joint (mna, mnd) matrix over 231-avoiders asymmetric at n=3",
+     "n=3: count(mna=0, mnd=1)=1, count(mna=1, mnd=0)=2"),
+    ("thm1.2ii", 5, "checks", "stat_table", _bump("mndmna231", 4, (2, 0, 0)),
+     "mnd distribution deviates from closed form at n=4", "n=4, k=2: enumerated 4, closed form 3"),
+    ("thm1.2ii", 5, "checks", "stat_table", _bump("mndmna231", 4, (9, 0, 0)),
+     "mnd distribution total wrong at n=4", "n=4: total 15, expected 14"),
+]
+
+
+@pytest.mark.parametrize("check, n, module, name, wrap, detail, counterexample", INJECTED_DEFECTS,
+                         ids=[f"{c[0]}-{c[3]}" for c in INJECTED_DEFECTS])
+def test_injected_defect_is_localized(monkeypatch, check, n, module, name, wrap, detail,
+                                      counterexample):
+    owner = maps if module == "maps" else checks
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    result = checks.run_check(check, n=n)
+    assert not result.passed
+    assert (result.detail, result.counterexample) == (detail, counterexample)

@@ -166,8 +166,9 @@ def test_verify_unknown_check_is_usage_error():
 
 
 def test_verify_out_of_range_override_is_usage_error():
+    # 0 is out of range too: it would examine nothing and report PASS
     for args in (("thm1.3", "--n", "-1"), ("thm1.3", "--n", "99"),
-                 ("eq:G", "--order", "-1")):
+                 ("eq:G", "--order", "-1"), ("thm2.3", "--n", "0"), ("eq:G", "--order", "0")):
         out = run_cli("verify", *args)
         assert out.returncode == 2, args
         assert "PASS" not in out.stdout
@@ -222,6 +223,9 @@ MALFORMED_OVERLAYS = {
     "bool-bound": {"enumeration_bound": False},
     "unknown-top-level-key": {"enumeration_bund": 12},
     "checks-not-an-object": {"checks": [["thm1.3", 5]]},
+    "zero-value": {"checks": {"thm2.3": {"n": 0}}},
+    "bound-below-defaults": {"enumeration_bound": 4},
+    "nonpositive-bound": {"enumeration_bound": -3},
 }
 
 
@@ -234,7 +238,8 @@ def test_config_overlay_rejects_malformed_entries(tmp_path, label):
 
 
 def test_verify_malformed_config_overlay_is_usage_error(tmp_path):
-    for label in ("unknown-check", "bool-value", "negative-value", "string-bound"):
+    for label in ("unknown-check", "bool-value", "negative-value", "string-bound",
+                  "zero-value", "bound-below-defaults"):
         path = tmp_path / f"{label}.json"
         path.write_text(json.dumps(MALFORMED_OVERLAYS[label]))
         out = run_cli("verify", "thm1.2ii", "--n", "3", config_path=path)
@@ -244,6 +249,13 @@ def test_verify_malformed_config_overlay_is_usage_error(tmp_path):
     out = run_cli("verify", "thm1.2ii", config_path=tmp_path / "missing.json")
     assert out.returncode == 2
     assert config.ENV_VAR in out.stderr
+
+
+def test_lowered_bound_names_the_first_default_above_it(tmp_path):
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps(MALFORMED_OVERLAYS["bound-below-defaults"]))
+    with pytest.raises(ValueError, match=r"thm1\.2i\.n must lie in 1\.\.4 .*got 9"):
+        config._load(str(path))
 
 
 def test_config_overlay_merges_valid_entries(tmp_path):

@@ -36,23 +36,6 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-# ---------- root surgery on binary trees ----------
-
-def star_transform(t: BinaryTree) -> BinaryTree:
-    """Move the right branch of the root's left child up to the root."""
-    _require(t is not None and t[0] is not None and t[1] is None,
-             "root must have a left child and no right branch")
-    left = t[0]
-    return ((left[0], None), left[1])
-
-
-def star_inverse(t: BinaryTree) -> BinaryTree:
-    """Push the right branch of the root back under its left child."""
-    _require(t is not None and t[0] is not None and t[0][1] is None,
-             "root's left child must have no right branch")
-    return ((t[0][0], t[1]), None)
-
-
 # ---------- 231-avoiders and binary trees, run-transporting ----------
 
 def upsilon(p: Perm) -> BinaryTree:

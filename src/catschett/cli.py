@@ -19,6 +19,7 @@ from catschett.objects.paths import (
     walk_pairs,
 )
 from catschett.objects.permutations import (
+    CLASSICAL_PATTERNS,
     avoiders,
     parse_permutation,
     serialize_permutation,
@@ -41,7 +42,7 @@ from catschett.statistics import (
     tree_chain_profile,
 )
 
-_PATTERNS = ("123", "132", "213", "231", "312", "321")
+_PATTERNS = tuple("".join(map(str, p)) for p in CLASSICAL_PATTERNS)
 
 _FAMILIES = ("avoiders", "btree", "ptree", "dyck", "motzkin2", "walkpair", "laguerre")
 

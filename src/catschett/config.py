@@ -1,5 +1,6 @@
 """Check bounds and series limits, read from one JSON config file."""
 
+import copy
 import json
 import os
 from functools import lru_cache
@@ -65,19 +66,24 @@ def _load(path: str | None) -> dict:
     return cfg
 
 
-def load_config() -> dict:
-    """Active configuration: packaged defaults overlaid with the file named by CATSCHETT_CONFIG."""
+def _active() -> dict:
+    # the cached dict itself: read it, never hand it out
     return _load(os.environ.get(ENV_VAR) or None)
+
+
+def load_config() -> dict:
+    """A copy of the active config: packaged defaults overlaid with the CATSCHETT_CONFIG file."""
+    return copy.deepcopy(_active())
 
 
 def enumeration_bound() -> int:
     """Hard cap on series truncation order and table sizes."""
-    return load_config()["enumeration_bound"]
+    return _active()["enumeration_bound"]
 
 
 def check_params(name: str) -> dict:
     """Default parameters (n or order) for one registered check."""
-    params = load_config()["checks"].get(name)
+    params = _active()["checks"].get(name)
     if params is None:
         raise KeyError(f"no configured bounds for check: {name}")
     return dict(params)

@@ -93,12 +93,6 @@ def reverse_complement(p: Perm) -> Perm:
     return complement(reverse(p))
 
 
-def direct_sum(p: Perm, q: Perm) -> Perm:
-    """Concatenate p with q shifted up by len(p)."""
-    k = len(p)
-    return p + tuple(v + k for v in q)
-
-
 def standardize(word: Iterable[int]) -> Perm:
     """Relabel distinct values order-isomorphically onto [k]."""
     w = tuple(word)
@@ -136,22 +130,6 @@ def _occurs_2_41_3(p: Perm) -> bool:
     return False
 
 
-def _occurs_3_14_2(p: Perm) -> bool:
-    # positions i < j, j+1 < k with p[j] < p[k] < p[i] < p[j+1]
-    n = len(p)
-    for j in range(1, n - 2):
-        lo, hi = p[j], p[j + 1]
-        if lo > hi:
-            continue
-        for i in range(j):
-            if not lo < p[i] < hi:
-                continue
-            for k in range(j + 2, n):
-                if lo < p[k] < p[i]:
-                    return True
-    return False
-
-
 def _avoids_231(word: Iterable[int]) -> bool:
     # Knuth's stack sort: a value popped by a larger incoming value becomes the
     # floor, and any later value below the floor closes a 231.
@@ -179,20 +157,24 @@ def _avoids_321(word: Iterable[int]) -> bool:
     return True
 
 
-# Each length-3 scan reduces to 231 or 321 by reversal and complementation; the
-# complement is taken by negation, so any sequence of distinct numbers works.
-_CLASSICAL_SCANS = {
-    (1, 2, 3): lambda w: _avoids_321(-v for v in w),
-    (1, 3, 2): lambda w: _avoids_231(reversed(w)),
-    (2, 1, 3): lambda w: _avoids_231(-v for v in w),
-    (2, 3, 1): _avoids_231,
-    (3, 1, 2): lambda w: _avoids_231(-v for v in reversed(w)),
-    (3, 2, 1): _avoids_321,
+_SCANS = {(2, 3, 1): _avoids_231, (3, 2, 1): _avoids_321}
+
+# The other four length-3 patterns, each with its base (231 or 321) and the
+# involution carrying it there; it carries avoiders of the one onto avoiders of
+# the other.  complement maps v to n+1-v, which reverses the order of any distinct
+# numbers, so the scans still take any such sequence.
+_SYMMETRIES = {
+    (1, 2, 3): ((3, 2, 1), complement),
+    (1, 3, 2): ((2, 3, 1), reverse),
+    (2, 1, 3): ((2, 3, 1), complement),
+    (3, 1, 2): ((2, 3, 1), reverse_complement),
 }
 
+
+# 3-14-2 is 2-41-3 read backwards, and reversal keeps the middle pair adjacent.
 _VINCULAR_SCANS = {
     "2-41-3": lambda w: not _occurs_2_41_3(w),
-    "3-14-2": lambda w: not _occurs_3_14_2(w),
+    "3-14-2": lambda w: not _occurs_2_41_3(w[::-1]),
 }
 
 
@@ -201,24 +183,26 @@ def avoids(p: Perm, pattern) -> bool:
 
     ``p`` is any sequence of distinct numbers; a repeated value raises ValueError.
     """
+    transform = None
     if isinstance(pattern, str):
         scan = _VINCULAR_SCANS.get(pattern)
         if scan is None:
             raise ValueError(f"unsupported vincular pattern: {pattern!r}")
     else:
         pat = tuple(pattern)
-        scan = _CLASSICAL_SCANS.get(pat)
+        base, transform = _SYMMETRIES.get(pat, (pat, None))
+        scan = _SCANS.get(base)
         if scan is None:
             raise ValueError(f"unsupported classical pattern: {pat}")
     w = tuple(p)
     if len(set(w)) != len(w):
         raise ValueError(f"values must be distinct: {w}")
-    return scan(w)
+    return scan(transform(w) if transform else w)
 
 
 def is_baxter(p: Perm) -> bool:
     """Test the two vincular avoidance conditions defining Baxter permutations."""
-    return not _occurs_2_41_3(p) and not _occurs_3_14_2(p)
+    return not _occurs_2_41_3(p) and not _occurs_2_41_3(p[::-1])
 
 
 def all_permutations(n: int) -> Iterator[Perm]:
@@ -263,53 +247,6 @@ def _avoiders_231(n: int) -> Iterator[Perm]:
     return extend(0)
 
 
-def _avoiders_132(n: int) -> Iterator[Perm]:
-    used = [False] * (n + 2)
-    prefix: list[int] = []
-
-    def extend(banned: int, low: int) -> Iterator[Perm]:
-        # banned: bitmask of values strictly inside some earlier (small, large) pair
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in range(1, n + 1):
-            if used[v] or (banned >> v) & 1:
-                continue
-            nb = banned
-            if prefix and v > low:
-                nb |= ((1 << v) - (1 << (low + 1)))
-            used[v] = True
-            prefix.append(v)
-            yield from extend(nb, v if not low or v < low else low)
-            prefix.pop()
-            used[v] = False
-
-    return extend(0, 0)
-
-
-def _avoiders_312(n: int) -> Iterator[Perm]:
-    used = [False] * (n + 2)
-    prefix: list[int] = []
-
-    def extend(banned: int, high: int) -> Iterator[Perm]:
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in range(1, n + 1):
-            if used[v] or (banned >> v) & 1:
-                continue
-            nb = banned
-            if prefix and v < high:
-                nb |= ((1 << high) - (1 << (v + 1)))
-            used[v] = True
-            prefix.append(v)
-            yield from extend(nb, v if v > high else high)
-            prefix.pop()
-            used[v] = False
-
-    return extend(0, 0)
-
-
 def _avoiders_321(n: int) -> Iterator[Perm]:
     used = [False] * (n + 2)
     prefix: list[int] = []
@@ -334,75 +271,25 @@ def _avoiders_321(n: int) -> Iterator[Perm]:
     return extend(0, 0)
 
 
-def _avoiders_123(n: int) -> Iterator[Perm]:
-    used = [False] * (n + 2)
-    prefix: list[int] = []
-
-    def extend(ceil: int, low: int) -> Iterator[Perm]:
-        # ceil: smallest value already placed above an earlier smaller value
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in range(1, n + 1):
-            if used[v] or v > ceil:
-                continue
-            used[v] = True
-            prefix.append(v)
-            if low and v > low:
-                yield from extend(v if v < ceil else ceil, low)
-            else:
-                yield from extend(ceil, v if not low or v < low else low)
-            prefix.pop()
-            used[v] = False
-
-    return extend(n + 1, 0)
-
-
-def _avoiders_213(n: int) -> Iterator[Perm]:
-    used = [False] * (n + 2)
-    prefix: list[int] = []
-
-    def extend(ceil: int) -> Iterator[Perm]:
-        # ceil: any later value above it would close a 213 with an earlier inversion
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        above = [0] * (n + 2)
-        nxt = n + 1
-        for v in range(n, 0, -1):
-            above[v] = nxt
-            if used[v]:
-                nxt = v
-        for v in range(1, n + 1):
-            if used[v] or v > ceil:
-                continue
-            used[v] = True
-            prefix.append(v)
-            yield from extend(above[v] if above[v] < ceil else ceil)
-            prefix.pop()
-            used[v] = False
-
-    return extend(n + 1)
-
-
-_AVOIDER_DISPATCH = {
-    (1, 2, 3): _avoiders_123,
-    (1, 3, 2): _avoiders_132,
-    (2, 1, 3): _avoiders_213,
-    (2, 3, 1): _avoiders_231,
-    (3, 1, 2): _avoiders_312,
-    (3, 2, 1): _avoiders_321,
-}
+_WALKS = {(2, 3, 1): _avoiders_231, (3, 2, 1): _avoiders_321}
 
 
 def avoiders(n: int, pattern) -> Iterator[Perm]:
-    """Generate all permutations of [n] avoiding a length-3 classical pattern, lexicographically."""
+    """Generate all permutations of [n] avoiding a length-3 classical pattern, lexicographically.
+
+    231 and 321 are walked lazily; the other four classes are the images of those
+    walks under their symmetry, sorted, so they are built in full first.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     pat = tuple(pattern)
-    if pat not in _AVOIDER_DISPATCH:
+    base, transform = _SYMMETRIES.get(pat, (pat, None))
+    walk = _WALKS.get(base)
+    if walk is None:
         raise ValueError(f"unsupported classical pattern: {pat}")
-    return _AVOIDER_DISPATCH[pat](n)
+    if transform is None:
+        return walk(n)
+    return iter(sorted(map(transform, walk(n))))
 
 
 def first_letter_decompose(p: Perm) -> tuple[int, Perm, Perm]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class LaurentPoly2:
@@ -137,11 +137,3 @@ class LaurentPoly2:
 
     def __repr__(self) -> str:
         return f"LaurentPoly2({self.terms!r})"
-
-
-def poly_from_triples(triples: Iterable[tuple[int, int, int]]) -> LaurentPoly2:
-    """Build a polynomial from (x exponent, y exponent, coefficient) triples."""
-    out: dict[tuple[int, int], int] = {}
-    for a, b, c in triples:
-        out[(a, b)] = out.get((a, b), 0) + c
-    return LaurentPoly2(out)

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 from catschett.serieslab.laurent import LaurentPoly2
-
-DEFAULT_ORDER = 12
 
 
 class TruncatedSeries:
@@ -31,10 +29,6 @@ class TruncatedSeries:
     def one(cls, order: int) -> "TruncatedSeries":
         cs = [LaurentPoly2.one()] + [LaurentPoly2.zero()] * order
         return cls(order, cs)
-
-    @classmethod
-    def from_coeff_fn(cls, order: int, fn: Callable[[int], LaurentPoly2]) -> "TruncatedSeries":
-        return cls(order, [fn(k) for k in range(order + 1)])
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)

@@ -269,6 +269,19 @@ def test_config_overlay_merges_valid_entries(tmp_path):
     assert cfg["checks"]["eq:G"] == defaults["checks"]["eq:G"]
 
 
+def test_load_config_hands_out_a_copy(monkeypatch):
+    monkeypatch.delenv(config.ENV_VAR, raising=False)
+    defaults = config._defaults()
+    try:
+        cfg = config.load_config()
+        cfg["checks"]["thm1.3"]["n"] = 0
+        cfg["enumeration_bound"] = 99
+        assert config.check_params("thm1.3") == defaults["checks"]["thm1.3"] == {"n": 9}
+        assert config.enumeration_bound() == defaults["enumeration_bound"] == 12
+    finally:
+        config._load.cache_clear()
+
+
 def test_benchmark_pinned_config_loads():
     pinned = json.loads(PINNED.read_text())
     cfg = config._load(str(PINNED))

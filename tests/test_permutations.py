@@ -70,11 +70,12 @@ def test_avoider_counts_are_catalan(pattern):
 
 
 def test_avoiders_match_filter_oracle():
+    # unsorted: the generator itself must list the avoiders lexicographically, as
+    # all_permutations does; avoids is held to contains by the exhaustive test below
     for pattern in PATTERNS:
-        for n in range(7):
-            from itertools import permutations as iperm
-            brute = sorted(p for p in iperm(range(1, n + 1)) if not contains(p, pattern))
-            assert sorted(avoiders(n, pattern)) == brute
+        for n in range(9):
+            brute = [p for p in all_permutations(n) if avoids(p, pattern)]
+            assert list(avoiders(n, pattern)) == brute, (n, pattern)
 
 
 def test_avoidance_spot_values():
@@ -146,6 +147,26 @@ def test_avoids_input_contract():
             avoids((1, 2, 3), pattern)
     assert avoids((), (2, 3, 1)) and avoids((7,), (3, 2, 1))
     assert not avoids((2, 5, 1, 4), "2-41-3") and not avoids((3, 1, 4, 2), "3-14-2")
+    with pytest.raises(ValueError, match="nonnegative"):
+        avoiders(-1, (2, 3, 1))
+    for pattern in ((1, 2), (1, 2, 3, 4), (1, 1, 2), "2-41-3"):
+        with pytest.raises(ValueError, match="unsupported"):
+            avoiders(3, pattern)
+
+
+def _occurs_vincular(p, tag):
+    # positions i < j, j+1 < k whose values, with j and j+1 adjacent, standardize to the tag
+    target = tuple(int(ch) for ch in tag if ch != "-")
+    n = len(p)
+    return any(standardize((p[i], p[j], p[j + 1], p[k])) == target
+               for j in range(n - 1) for i in range(j) for k in range(j + 2, n))
+
+
+@pytest.mark.parametrize("tag", VINCULAR_PATTERNS)
+def test_vincular_avoidance_matches_position_scan_exhaustively(tag):
+    for n in range(9):
+        for p in all_permutations(n):
+            assert avoids(p, tag) == (not _occurs_vincular(p, tag)), (p, tag)
 
 
 def test_map_guards_reject_pattern_occurrences():

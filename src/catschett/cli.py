@@ -60,7 +60,7 @@ def _bounded_size(n: int) -> int:
 
 def _enumerate_lines(family: str, n: int, pattern: tuple[int, ...]) -> list[str]:
     if family == "avoiders":
-        return [serialize_permutation(p) for p in sorted(avoiders(n, pattern))]
+        return [serialize_permutation(p) for p in avoiders(n, pattern)]
     if family == "btree":
         return sorted(serialize_binary_tree(t) for t in binary_trees(n))
     if family == "ptree":

@@ -1,18 +1,14 @@
-"""Statistic tables: exact counting by prefix state, enumeration only for the kinds not counted.
+"""Statistic tables: every kind is counted exactly by prefix state.
 
-The four series kinds are counted without listing objects, in the manner of generating
-trees (West, Discrete Math. 146, 1995): a prefix is reduced to the little state that
-decides how it can be extended and what it adds to the statistic.  ``_kernels_py``
-enumerates every kind and is the oracle these counters are tested against.
+The tables are counted without listing objects, in the manner of generating trees
+(West, Discrete Math. 146, 1995): a prefix is reduced to the little state that decides
+how it can be extended and what it adds to the statistic.  The tests hold every kind to
+a brute-force enumeration of the same objects.
 """
 
 from collections import Counter
 from functools import lru_cache
 from types import MappingProxyType
-
-from catschett import _kernels_py
-
-TABLE_KINDS = tuple(sorted(_kernels_py._KINDS))
 
 
 def _count321(n: int, start: tuple, step) -> Counter:
@@ -136,12 +132,84 @@ def _lpkpk231(n: int) -> dict:
     return dict(tables[n])
 
 
+def _mndmna231(n: int) -> dict:
+    """(mnd, mna, mna of the inverse) over 231-avoiders, split as p = alpha size beta.
+
+    A maximal run of length L holds floor(L/2) pairwise non-adjacent descents (or
+    ascents), so only run parities at the seams matter.  The greatest letter joins
+    beta's first descending run, which begins p when alpha is empty, and ends alpha's
+    last ascending run.  With a = |alpha|, the inverse is alpha^-1 (beta^-1 + a + 1)
+    (a + 1): alpha^-1's last ascending run merges with beta^-1's first, and a + 1 is a
+    run of its own unless beta is empty.
+    State: (mnd, mna, inverse mna, parity of the first descending run, of the last
+    ascending run, of the inverse's first and last ascending runs), where the inverse's
+    first-run parity is 2 for the identity, whose inverse is a single run.
+    """
+    tables = [Counter({(0, 0, 0, 0, 0, 2, 0): 1})]
+    for size in range(1, n + 1):
+        table: Counter = Counter()
+        for (d, u, w, fd, la, fi, li), c in tables[size - 1].items():  # beta empty
+            table[d, u + la, w + li, fd if size > 1 else 1, la ^ 1, fi, li ^ 1] += c
+        for a in range(size - 1):
+            # keep only what each side passes on, so fewer pairs are multiplied
+            alpha: Counter = Counter()
+            for (d, u, w, fd, la, fi, li), c in tables[a].items():
+                alpha[d, u + la, w, fd, li, fi] += c
+            beta: Counter = Counter()
+            for (d, u, w, fd, la, fi, li), c in tables[size - 1 - a].items():
+                beta[d + fd, u, w, 0 if a else fd ^ 1, la, li if fi == 2 else fi] += c
+            for (d, u, w, fd, li, fi), c in alpha.items():
+                for (qd, qu, qw, qfd, qla, qfi), e in beta.items():
+                    table[d + qd, u + qu, w + qw + (li & qfi), fd | qfd,
+                          qla, li ^ qfi if fi == 2 else fi, 1] += c * e
+        tables.append(table)
+    out: Counter = Counter()
+    for (d, u, w, *_parities), c in tables[n].items():
+        out[d, u, w] += c
+    return dict(out)
+
+
+def _mnemnw321(n: int) -> dict:
+    """(mne, mnw of the inverse) over 321-avoiders, walking new maxima and fillers.
+
+    As in ``_count321``, each entry is a new maximum v > m or the smallest unused value
+    (a filler).  The excedances are the new maxima v placed at a position i < v.  The
+    values v >= 2 with p^-1(v) >= v are the fillers and the new maxima placed at i = v;
+    the values m+1..v-1 skipped by a new maximum are exactly the later fillers, so the
+    values up to v are settled when v is placed and both greedy counts can be read off
+    in order.  State after a prefix with maximum m: (m, mne, greedy took the prefix's
+    last position, mnw, greedy took value m), where value 0 counts as taken so that
+    value 1 is never taken.
+    """
+    states = Counter({(0, 0, False, 0, True): 1})
+    for i in range(1, n + 1):
+        nxt: Counter = Counter()
+        for (m, e, tp, w, tv), c in states.items():
+            if m >= i:  # an unused value lies below m: the filler
+                nxt[m, e, False, w, tv] += c
+            for v in range(m + 1, n + 1):
+                x = v > i and not tp
+                k = v - 1 - m  # skipped values, all later fillers; greedy takes every other
+                t = (k - tv) & 1  # greedy took value v - 1
+                y = v == i and not t
+                nxt[v, e + x, x, w + (k + 1 - tv) // 2 + y, y] += c
+        states = nxt
+    out: Counter = Counter()
+    for (_m, e, _tp, w, _tv), c in states.items():
+        out[e, w] += c
+    return dict(out)
+
+
 _COUNTED = {
     "runs321": _runs321,
     "compdyck": _compdyck,
     "lpkpk231": _lpkpk231,
     "lpk321": _lpk321,
+    "mndmna231": _mndmna231,
+    "mnemnw321": _mnemnw321,
 }
+
+TABLE_KINDS = tuple(sorted(_COUNTED))
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +219,7 @@ def stat_table(kind: str, n: int) -> MappingProxyType:
     The table is cached and shared, so it is returned as a read-only mapping.
     """
     if kind not in _COUNTED:
-        return MappingProxyType(_kernels_py.stat_table_pure(kind, n))
+        raise ValueError(f"unknown table kind: {kind}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     return MappingProxyType(_COUNTED[kind](n))

@@ -48,17 +48,7 @@ def dyck_paths(n: int) -> Iterator[str]:
 
 def platform_multiset(word: str) -> tuple[int, ...]:
     """Multiset of maximal east-run lengths, sorted descending."""
-    runs: list[int] = []
-    k = 0
-    for ch in word:
-        if ch == "E":
-            k += 1
-        elif k:
-            runs.append(k)
-            k = 0
-    if k:
-        runs.append(k)
-    return tuple(sorted(runs, reverse=True))
+    return tuple(sorted(ascending_step_runs(word), reverse=True))
 
 
 def is_zigzag(word: str) -> bool:

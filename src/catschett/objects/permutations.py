@@ -179,7 +179,7 @@ _VINCULAR_SCANS = {
 
 
 def avoids(p: Perm, pattern) -> bool:
-    """Test avoidance of a length-3 classical pattern or a vincular tag in O(n).
+    """Test avoidance of a length-3 classical pattern in O(n), or of a vincular tag in O(n^3).
 
     ``p`` is any sequence of distinct numbers; a repeated value raises ValueError.
     """

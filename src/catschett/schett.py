@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from catschett.objects.permutations import all_permutations, avoiders, inverse
+from catschett.kernels import stat_table
+from catschett.objects.permutations import all_permutations
 from catschett.objects.trees import (
     binary_trees,
     increasing_tree_shape,
@@ -10,7 +11,6 @@ from catschett.objects.trees import (
     right_chain_orders,
 )
 from catschett.serieslab.laurent import LaurentPoly2
-from catschett.statistics import mne, mnw, oar, odr
 
 
 def _odd_chain_counts(t) -> tuple[int, int]:
@@ -31,25 +31,26 @@ def catalan_schett_trees(n: int) -> LaurentPoly2:
 
 
 def catalan_schett_perm231(n: int) -> LaurentPoly2:
-    """Sum x^odr(p) y^oar(inverse p) over 231-avoiders of [n]."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """Sum x^odr(p) y^oar(inverse p) over 231-avoiders of [n].
+
+    A maximal run of length L holds floor(L/2) pairwise non-adjacent descents, so
+    odr = n - 2 mnd, and likewise oar = n - 2 mna; the terms are read off the
+    counted (mnd, mna, mna of the inverse) table.
+    """
     terms: dict[tuple[int, int], int] = {}
-    for p in avoiders(n, (2, 3, 1)):
-        key = (odr(p), oar(inverse(p)))
-        terms[key] = terms.get(key, 0) + 1
+    for (d, _u, w), c in stat_table("mndmna231", n).items():
+        key = (n - 2 * d, n - 2 * w)
+        terms[key] = terms.get(key, 0) + c
     return LaurentPoly2(terms)
 
 
 def catalan_schett_perm321(n: int) -> LaurentPoly2:
-    """Sum x^(n-2 mne(p)) y^(n-2 mnw(inverse p)) over 321-avoiders of [n]."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    terms: dict[tuple[int, int], int] = {}
-    for p in avoiders(n, (3, 2, 1)):
-        key = (n - 2 * mne(p), n - 2 * mnw(inverse(p)))
-        terms[key] = terms.get(key, 0) + 1
-    return LaurentPoly2(terms)
+    """Sum x^(n-2 mne(p)) y^(n-2 mnw(inverse p)) over 321-avoiders of [n].
+
+    The terms are read off the counted (mne, mnw of the inverse) table.
+    """
+    table = stat_table("mnemnw321", n)
+    return LaurentPoly2({(n - 2 * e, n - 2 * w): c for (e, w), c in table.items()})
 
 
 _ROUTES = {

@@ -1,4 +1,4 @@
-"""Pure-Python statistic-table kernels: exhaustive enumeration, no pruned shortcuts beyond the generators."""
+"""Brute-force oracle for ``catschett.kernels.stat_table``: every table by exhaustive enumeration."""
 
 from catschett.objects.paths import dyck_composition, dyck_paths
 from catschett.objects.permutations import avoiders, inverse

@@ -2,8 +2,9 @@
 
 import pytest
 
-from catschett import _kernels_py, kernels
+from catschett import kernels
 from catschett.objects.permutations import catalan
+from table_oracle import _KINDS, stat_table_pure
 
 
 def test_table_kinds_listing():
@@ -14,8 +15,9 @@ def test_table_kinds_listing():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         kernels.stat_table("nope", 3)
-    with pytest.raises(ValueError):
-        kernels.stat_table("runs321", -1)
+    for kind in kernels.TABLE_KINDS:
+        with pytest.raises(ValueError):
+            kernels.stat_table(kind, -1)
 
 
 def test_tables_total_catalan():
@@ -24,11 +26,11 @@ def test_tables_total_catalan():
             assert sum(kernels.stat_table(kind, n).values()) == catalan(n)
 
 
-@pytest.mark.parametrize("kind", sorted(_kernels_py._KINDS))
+@pytest.mark.parametrize("kind", sorted(_KINDS))
 def test_backend_parity_small(kind):
-    # the counted kinds against the enumeration oracle; the others are enumerated
+    # every counted kind against the enumeration oracle
     for n in range(11):
-        assert dict(kernels.stat_table(kind, n)) == _kernels_py.stat_table_pure(kind, n)
+        assert dict(kernels.stat_table(kind, n)) == stat_table_pure(kind, n)
 
 
 def test_tables_are_read_only():
@@ -46,3 +48,4 @@ def test_empty_size_conventions():
     assert kernels.stat_table("runs321", 0) == {}
     assert kernels.stat_table("compdyck", 0) == {}
     assert kernels.stat_table("mndmna231", 0) == {(0, 0, 0): 1}
+    assert kernels.stat_table("mnemnw321", 0) == {(0, 0): 1}

@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from catschett.objects.permutations import catalan
+from catschett.objects.permutations import avoiders, catalan, inverse
 from catschett.schett import catalan_schett, schett_classical
 from catschett.serieslab.laurent import LaurentPoly2
+from catschett.statistics import mne, mnw, oar, odr
 
 FROZEN = {
     1: {(1, 1): 1},
@@ -29,6 +30,20 @@ def test_three_routes_agree():
         trees = catalan_schett(n, "trees")
         assert catalan_schett(n, "perm231") == trees
         assert catalan_schett(n, "perm321") == trees
+
+
+@pytest.mark.parametrize("route, pattern, key", [
+    ("perm231", (2, 3, 1), lambda n, p: (odr(p), oar(inverse(p)))),
+    ("perm321", (3, 2, 1), lambda n, p: (n - 2 * mne(p), n - 2 * mnw(inverse(p)))),
+], ids=["perm231", "perm321"])
+def test_permutation_routes_match_enumeration(route, pattern, key):
+    # the permutation routes read counted tables; hold them to a tally over the avoiders
+    for n in range(11):
+        terms: dict[tuple[int, int], int] = {}
+        for p in avoiders(n, pattern):
+            k = key(n, p)
+            terms[k] = terms.get(k, 0) + 1
+        assert catalan_schett(n, route) == LaurentPoly2(terms)
 
 
 def test_catalan_specialization():

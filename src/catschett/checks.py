@@ -35,7 +35,7 @@ from catschett.objects.trees import (
     right_chain_orders,
     serialize_plane_tree,
 )
-from catschett.schett import catalan_schett
+from catschett.schett import ROUTES, catalan_schett
 from catschett.serieslab import residuals
 from catschett.serieslab.laurent import LaurentPoly2
 from catschett.statistics import (
@@ -443,13 +443,12 @@ _FROZEN_POLYNOMIALS = {
 def _check_schett_routes(params: dict) -> CheckResult:
     nmax = params["n"]
     for n in range(nmax + 1):
-        by_trees = catalan_schett(n, "trees")
-        for route in ("perm231", "perm321"):
-            other = catalan_schett(n, route)
-            if other != by_trees:
+        polys = {route: catalan_schett(n, route) for route in ROUTES}
+        for route, other in polys.items():
+            if other != polys["trees"]:
                 return _fail("schett-routes", params,
                              f"route {route} disagrees with the tree route at n={n}",
-                             f"n={n}: {other.sorted_terms()} vs {by_trees.sorted_terms()}")
+                             f"n={n}: {other.sorted_terms()} vs {polys['trees'].sorted_terms()}")
     for n, terms in sorted(_FROZEN_POLYNOMIALS.items()):
         if catalan_schett(n, "trees") != LaurentPoly2(terms):
             return _fail("schett-routes", params,
@@ -511,16 +510,7 @@ _CHECKS = {
     "lem2.18": _check_lem218,
     "prop2.11": _check_prop211,
     "cor2.6": _check_cor26,
-    "lem3.1": _series_check("lem3.1"),
-    "eq:ee": _series_check("eq:ee"),
-    "eq:eo": _series_check("eq:eo"),
-    "eq:o": _series_check("eq:o"),
-    "eq:G": _series_check("eq:G"),
-    "eq:LE": _series_check("eq:LE"),
-    "alg:gf1": _series_check("alg:gf1"),
-    "alg:gf2": _series_check("alg:gf2"),
-    "thm1.6i": _series_check("thm1.6i"),
-    "bbs": _series_check("bbs"),
+    **{name: _series_check(name) for name in residuals.SYSTEMS},
     "schett-routes": _check_schett_routes,
 }
 

@@ -33,7 +33,7 @@ from catschett.objects.trees import (
     serialize_binary_tree,
     serialize_plane_tree,
 )
-from catschett.schett import catalan_schett
+from catschett.schett import ROUTES, catalan_schett
 from catschett.serieslab import families
 from catschett.statistics import (
     dyck_profile,
@@ -123,34 +123,9 @@ def cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _poly_text(poly) -> str:
-    terms = sorted(poly.sorted_terms(), key=lambda t: (-(t[0] + t[1]), -t[0]))
-    if not terms:
-        return "0"
-    parts: list[str] = []
-    for a, b, c in terms:
-        factors: list[str] = []
-        if a == 1:
-            factors.append("x")
-        elif a != 0:
-            factors.append(f"x^{a}")
-        if b == 1:
-            factors.append("y")
-        elif b != 0:
-            factors.append(f"y^{b}")
-        if abs(c) != 1 or not factors:
-            factors.insert(0, str(abs(c)))
-        mono = "*".join(factors)
-        if not parts:
-            parts.append(mono if c > 0 else f"-{mono}")
-        else:
-            parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
-    return " ".join(parts)
-
-
 def cmd_schett(args: argparse.Namespace) -> int:
     n = _bounded_size(args.n)
-    routes = ("trees", "perm231", "perm321") if args.route == "all" else (args.route,)
+    routes = ROUTES if args.route == "all" else (args.route,)
     polys = {route: catalan_schett(n, route) for route in routes}
     if args.format == "json":
         body = {"n": n,
@@ -159,7 +134,7 @@ def cmd_schett(args: argparse.Namespace) -> int:
         print(json.dumps(body, indent=2))
     else:
         for route, poly in polys.items():
-            print(f"{route}: {_poly_text(poly)}")
+            print(f"{route}: {poly}")
     return 0
 
 
@@ -220,7 +195,7 @@ def cmd_series(args: argparse.Namespace) -> int:
                 print(f"{k},{a},{b},{c}")
     else:
         for k in range(1, series.order + 1):
-            print(f"[t^{k}] {_poly_text(series.coefficient(k))}")
+            print(f"[t^{k}] {series.coefficient(k)}")
     return 0
 
 
@@ -294,8 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_schett = sub.add_parser("schett", help="print a Catalan-Schett polynomial")
     p_schett.add_argument("n", type=int)
-    p_schett.add_argument("--route", choices=("trees", "perm231", "perm321", "all"),
-                          default="trees")
+    p_schett.add_argument("--route", choices=ROUTES + ("all",), default="trees")
     p_schett.add_argument("--format", choices=("text", "json"), default="text")
     p_schett.set_defaults(func=cmd_schett)
 

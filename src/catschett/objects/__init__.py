@@ -1,72 +1,1 @@
 """Combinatorial object families: permutations, trees, lattice paths, histories."""
-
-from catschett.objects.permutations import (
-    CLASSICAL_PATTERNS,
-    VINCULAR_PATTERNS,
-    Perm,
-    all_permutations,
-    avoiders,
-    avoids,
-    baxter_permutations,
-    catalan,
-    check_permutation,
-    complement,
-    contains,
-    first_letter_decompose,
-    first_letter_compose,
-    greatest_letter_decompose,
-    identity,
-    inverse,
-    is_baxter,
-    parse_permutation,
-    refined_catalan,
-    reverse,
-    reverse_complement,
-    serialize_permutation,
-    standardize,
-)
-from catschett.objects.trees import (
-    BinaryTree,
-    PlaneTree,
-    binary_node_count,
-    binary_trees,
-    increasing_tree_shape,
-    left_arm,
-    left_chain_orders,
-    parse_binary_tree,
-    parse_plane_tree,
-    plane_node_count,
-    plane_trees,
-    right_arm,
-    right_chain_orders,
-    serialize_binary_tree,
-    serialize_plane_tree,
-)
-from catschett.objects.paths import (
-    ascending_step_runs,
-    dyck_composition,
-    dyck_paths,
-    east_heights,
-    hor_set,
-    is_dyck_path,
-    is_laguerre_history,
-    is_motzkin2_path,
-    is_walk_pair,
-    is_walk_triple,
-    is_zigzag,
-    laguerre_histories,
-    motzkin2_heights,
-    motzkin2_paths,
-    parse_laguerre_history,
-    parse_walk_pair,
-    parse_walk_triple,
-    platform_multiset,
-    serialize_laguerre_history,
-    serialize_walk_pair,
-    serialize_walk_triple,
-    ver_set,
-    walk_from_positions,
-    walk_pairs,
-)
-
-__all__ = [k for k in dir() if not k.startswith("_")]

@@ -58,6 +58,7 @@ _ROUTES = {
     "perm231": catalan_schett_perm231,
     "perm321": catalan_schett_perm321,
 }
+ROUTES = tuple(_ROUTES)
 
 
 def catalan_schett(n: int, route: str = "trees") -> LaurentPoly2:

@@ -1,6 +1,1 @@
 """Exact bivariate Laurent polynomials, truncated series, and residual checks."""
-
-from catschett.serieslab.laurent import LaurentPoly2
-from catschett.serieslab.series import TruncatedSeries
-
-__all__ = ["LaurentPoly2", "TruncatedSeries"]

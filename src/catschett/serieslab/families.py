@@ -35,31 +35,25 @@ def compute_G(order: int, source: str = "perm") -> TruncatedSeries:
     return _assemble(order, kind, lambda k: (k[0], k[1]))
 
 
-def compute_EE_EO_OE_OO(order: int, source: str = "dyck") -> tuple[TruncatedSeries, ...]:
-    """The run series split by (initial part, terminal part) parity: even-even, even-odd, odd-even, odd-odd."""
+def compute_EE_EO_OE_OO(order: int) -> tuple[TruncatedSeries, ...]:
+    """The run series over Dyck segments split by (initial, terminal part) parity: EE, EO, OE, OO."""
     _check_order(order)
-    if source not in ("perm", "dyck"):
-        raise ValueError(f"unknown source: {source}")
-    kind = "compdyck" if source == "dyck" else "runs321"
     out = []
     for first, last in ((0, 0), (0, 1), (1, 0), (1, 1)):
         out.append(
             _assemble(
                 order,
-                kind,
+                "compdyck",
                 lambda k, f=first, l=last: (k[0], k[1]) if k[2] == f and k[3] == l else None,
             )
         )
     return tuple(out)
 
 
-def compute_M(order: int, source: str = "231") -> TruncatedSeries:
-    """x marks even left peaks and y odd ones, over 231- or 321-avoiders."""
+def compute_M(order: int) -> TruncatedSeries:
+    """x marks even left peaks and y odd ones, over 231-avoiders."""
     _check_order(order)
-    if source not in ("231", "321"):
-        raise ValueError(f"unknown source: {source}")
-    kind = "lpkpk231" if source == "231" else "lpk321"
-    return _assemble(order, kind, lambda k: (k[0], k[1]))
+    return _assemble(order, "lpkpk231", lambda k: (k[0], k[1]))
 
 
 def compute_LE_LO_E_O(order: int) -> tuple[TruncatedSeries, ...]:

@@ -6,17 +6,16 @@ from typing import Mapping
 
 
 class LaurentPoly2:
-    """Immutable map from (x exponent, y exponent) to a nonzero integer coefficient."""
+    """Immutable map from (x exponent, y exponent) to a nonzero integer coefficient.
+
+    Every instance is built inside the program from int-keyed int terms, so the
+    constructor only drops zero coefficients.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        clean: dict[tuple[int, int], int] = {}
-        if terms:
-            for (a, b), c in terms.items():
-                if c:
-                    clean[(int(a), int(b))] = clean.get((int(a), int(b)), 0) + int(c)
-        self.terms = {k: v for k, v in clean.items() if v}
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
 
     @classmethod
     def zero(cls) -> "LaurentPoly2":
@@ -30,53 +29,35 @@ class LaurentPoly2:
     def monomial(cls, a: int, b: int, c: int = 1) -> "LaurentPoly2":
         return cls({(a, b): c})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly2({(0, 0): other})
         if not isinstance(other, LaurentPoly2):
             return NotImplemented
         return self.terms == other.terms
 
     __hash__ = None
 
-    def __add__(self, other) -> "LaurentPoly2":
-        if isinstance(other, int):
-            other = LaurentPoly2({(0, 0): other})
+    def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
         return LaurentPoly2(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "LaurentPoly2":
         return LaurentPoly2({k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other) -> "LaurentPoly2":
-        if isinstance(other, int):
-            other = LaurentPoly2({(0, 0): other})
+    def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         return self + (-other)
 
-    def __rsub__(self, other) -> "LaurentPoly2":
-        return (-self) + other
-
-    def __mul__(self, other) -> "LaurentPoly2":
-        if isinstance(other, int):
-            return LaurentPoly2({k: c * other for k, c in self.terms.items()})
+    def __mul__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         out: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 k = (a1 + a2, b1 + b2)
                 out[k] = out.get(k, 0) + c1 * c2
         return LaurentPoly2(out)
-
-    __rmul__ = __mul__
 
     def shift(self, a: int, b: int) -> "LaurentPoly2":
         """Multiply by the monomial x^a y^b."""
@@ -118,22 +99,28 @@ class LaurentPoly2:
         return (min(a for a, _ in self.terms), min(b for _, b in self.terms))
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = sorted(self.sorted_terms(), key=lambda t: (-(t[0] + t[1]), -t[0]))
+        if not terms:
             return "0"
-        chunks = []
-        for a, b, c in self.sorted_terms():
-            body = []
-            if a:
-                body.append("x" if a == 1 else f"x^{a}")
-            if b:
-                body.append("y" if b == 1 else f"y^{b}")
-            if not body:
-                chunks.append(str(c))
-                continue
-            head = "" if c == 1 else ("-" if c == -1 else str(c) + "*")
-            chunks.append(head + "*".join(body))
-        text = " + ".join(chunks)
-        return text.replace("+ -", "- ")
+        parts: list[str] = []
+        for a, b, c in terms:
+            factors: list[str] = []
+            if a == 1:
+                factors.append("x")
+            elif a != 0:
+                factors.append(f"x^{a}")
+            if b == 1:
+                factors.append("y")
+            elif b != 0:
+                factors.append(f"y^{b}")
+            if abs(c) != 1 or not factors:
+                factors.insert(0, str(abs(c)))
+            mono = "*".join(factors)
+            if not parts:
+                parts.append(mono if c > 0 else f"-{mono}")
+            else:
+                parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
+        return " ".join(parts)
 
     def __repr__(self) -> str:
         return f"LaurentPoly2({self.terms!r})"

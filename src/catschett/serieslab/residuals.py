@@ -14,8 +14,9 @@ from catschett.serieslab import families
 from catschett.serieslab.laurent import LaurentPoly2
 from catschett.serieslab.series import TruncatedSeries, geometric_t2
 
-FUNCTIONAL_SYSTEMS = ("lem3.1", "eq:ee", "eq:eo", "eq:o", "eq:G", "eq:LE")
-ALGEBRAIC_SYSTEMS = ("alg:gf1", "thm1.6i", "alg:gf2", "bbs")
+# Every identity system in report order: lem3.1 and the eq: systems are functional
+# equations, the rest algebraic ones.
+SYSTEMS = ("lem3.1", "eq:ee", "eq:eo", "eq:o", "eq:G", "eq:LE", "alg:gf1", "alg:gf2", "thm1.6i", "bbs")
 
 Equations = list[tuple[str, TruncatedSeries, TruncatedSeries]]
 Readings = list[tuple[str, Equations]]
@@ -174,7 +175,7 @@ def _algebraic_readings(name: str, order: int) -> Readings:
         return readings
     if name == "thm1.6i":
         a = families.compute_A(order)
-        coeff_list = [cs("quartic_r0"), cs("quartic_r1"), cs("quartic_r2"), -1 * cs("quartic_r3"), cs("quartic_c4")]
+        coeff_list = [cs("quartic_r0"), cs("quartic_r1"), cs("quartic_r2"), -cs("quartic_r3"), cs("quartic_c4")]
         return [("literal", [("residual", _polynomial_residual(a, coeff_list), zero)])]
     if name == "alg:gf2":
         m = families.compute_M(order)
@@ -199,8 +200,8 @@ def _algebraic_readings(name: str, order: int) -> Readings:
 
 def system_readings(name: str, order: int) -> Readings:
     """All candidate readings of one identity system, each with its equations."""
-    if name in FUNCTIONAL_SYSTEMS:
+    if name not in SYSTEMS:
+        raise ValueError(f"unknown system: {name}")
+    if name == "lem3.1" or name.startswith("eq:"):
         return _functional_readings(name, order)
-    if name in ALGEBRAIC_SYSTEMS:
-        return _algebraic_readings(name, order)
-    raise ValueError(f"unknown system: {name}")
+    return _algebraic_readings(name, order)

@@ -8,30 +8,26 @@ from catschett.serieslab.laurent import LaurentPoly2
 
 
 class TruncatedSeries:
-    """Series sum_{k=0}^{order} c_k(x, y) t^k; arithmetic discards t-degrees above order."""
+    """Series sum_{k=0}^{order} c_k(x, y) t^k; arithmetic discards t-degrees above order.
+
+    ``coeffs`` holds exactly order + 1 polynomials, and a series combines only
+    with a series of the same order.
+    """
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: Iterable[LaurentPoly2] | None = None):
+    def __init__(self, order: int, coeffs: Iterable[LaurentPoly2]):
         self.order = order
-        cs = list(coeffs) if coeffs is not None else []
-        if len(cs) > order + 1:
-            cs = cs[: order + 1]
-        while len(cs) < order + 1:
-            cs.append(LaurentPoly2.zero())
-        self.coeffs = cs
+        self.coeffs = list(coeffs)
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order)
+        return cls(order, [LaurentPoly2.zero()] * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         cs = [LaurentPoly2.one()] + [LaurentPoly2.zero()] * order
         return cls(order, cs)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -42,60 +38,42 @@ class TruncatedSeries:
 
     __hash__ = None
 
-    def _coerce(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            if other.order != self.order:
-                raise ValueError("series orders differ")
-            return other
-        if isinstance(other, int):
-            cs = [LaurentPoly2({(0, 0): other})] + [LaurentPoly2.zero()] * self.order
-            return TruncatedSeries(self.order, cs)
-        if isinstance(other, LaurentPoly2):
-            cs = [other] + [LaurentPoly2.zero()] * self.order
-            return TruncatedSeries(self.order, cs)
-        raise TypeError(f"cannot combine series with {type(other).__name__}")
+    def _same_order(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if other.order != self.order:
+            raise ValueError("series orders differ")
+        return other
 
-    def __add__(self, other) -> "TruncatedSeries":
-        o = self._coerce(other)
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        o = self._same_order(other)
         return TruncatedSeries(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(self.order, [-c for c in self.coeffs])
 
-    def __sub__(self, other) -> "TruncatedSeries":
-        return self + (-self._coerce(other))
+    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        o = self._same_order(other)
+        return TruncatedSeries(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
 
-    def __rsub__(self, other) -> "TruncatedSeries":
-        return (-self) + self._coerce(other)
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, LaurentPoly2)):
-            o = other if isinstance(other, LaurentPoly2) else LaurentPoly2({(0, 0): other})
-            return TruncatedSeries(self.order, [c * o for c in self.coeffs])
-        o = self._coerce(other)
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        o = self._same_order(other)
         out = [LaurentPoly2.zero() for _ in range(self.order + 1)]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+            if not a:
                 continue
             for j in range(self.order + 1 - i):
                 b = o.coeffs[j]
-                if b.is_zero():
+                if not b:
                     continue
                 out[i + j] = out[i + j] + a * b
         return TruncatedSeries(self.order, out)
 
-    __rmul__ = __mul__
-
-    def mul_monomial(self, tpow: int, xpow: int = 0, ypow: int = 0, c: int = 1) -> "TruncatedSeries":
-        """Multiply by c * t^tpow * x^xpow * y^ypow (tpow >= 0)."""
+    def mul_monomial(self, tpow: int, xpow: int = 0, ypow: int = 0) -> "TruncatedSeries":
+        """Multiply by t^tpow * x^xpow * y^ypow (tpow >= 0)."""
         out = [LaurentPoly2.zero() for _ in range(self.order + 1)]
         for k in range(self.order + 1 - tpow):
             p = self.coeffs[k]
-            if p.is_zero():
-                continue
-            out[k + tpow] = p.shift(xpow, ypow) * c
+            if p:
+                out[k + tpow] = p.shift(xpow, ypow)
         return TruncatedSeries(self.order, out)
 
     def swap_xy(self) -> "TruncatedSeries":
@@ -113,13 +91,9 @@ class TruncatedSeries:
     def first_nonzero(self) -> tuple[int, LaurentPoly2] | None:
         """Lowest t-order with a nonzero coefficient, or None for the zero series."""
         for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
+            if c:
                 return k, c
         return None
-
-    def __str__(self) -> str:
-        parts = [f"[t^{k}] {c}" for k, c in enumerate(self.coeffs) if not c.is_zero()]
-        return "\n".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order}, nonzero={sum(1 for c in self.coeffs if c)})"

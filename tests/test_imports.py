@@ -1,5 +1,5 @@
-"""Every name a library module imports is used by that module (package re-exports aside),
-and every public name it defines is read by that module or named elsewhere in the project."""
+"""Every name a library module imports is used by that module, and every public name
+it defines is read by that module or named elsewhere in the project."""
 
 import ast
 import pathlib
@@ -10,7 +10,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "catschett"
 
-MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.rglob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -47,11 +47,9 @@ def test_scan_sees_an_unused_import():
 
 # Where a public name may be used besides its own module: the library, its tests
 # and tools, the benchmark, and pyproject.toml (which names the ``catschett.cli:main``
-# entry point).  A package ``__init__`` only re-exports, so naming a name there does
-# not make it used.
+# entry point).
 PROJECT_FILES = sorted(
-    [p for d in ("src", "tests", "tools", "perfbench") for p in (ROOT / d).rglob("*.py")
-     if p.name != "__init__.py"]
+    [p for d in ("src", "tests", "tools", "perfbench") for p in (ROOT / d).rglob("*.py")]
     + [ROOT / "pyproject.toml"])
 
 

@@ -3,9 +3,13 @@
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from catschett.kernels import stat_table
 from catschett.objects.permutations import catalan
 from catschett.serieslab import families, residuals
 from catschett.serieslab.laurent import LaurentPoly2
@@ -81,9 +85,17 @@ def test_series_specializes_to_catalan():
         assert g.coefficient(k).eval_ones() == catalan(k)
 
 
+def _lpk_marginal(kind, n):
+    counts = Counter()
+    for key, c in stat_table(kind, n).items():
+        counts[key[:2]] += c
+    return counts
+
+
 def test_route_equality_for_main_series():
     assert families.compute_G(9, source="perm") == families.compute_G(9, source="dyck")
-    assert families.compute_M(9, source="231") == families.compute_M(9, source="321")
+    for n in range(10):
+        assert _lpk_marginal("lpkpk231", n) == _lpk_marginal("lpk321", n), n
 
 
 def test_parity_block_decomposition():
@@ -124,7 +136,7 @@ def test_first_failure_localizes():
 
 
 def test_every_system_has_a_passing_reading():
-    for name in residuals.FUNCTIONAL_SYSTEMS + residuals.ALGEBRAIC_SYSTEMS:
+    for name in residuals.SYSTEMS:
         outcomes = []
         for label, equations in residuals.system_readings(name, 8):
             outcomes.append(all(lhs == rhs for _, lhs, rhs in equations))
@@ -135,3 +147,119 @@ def test_mna_distribution_rows_sum_to_catalan():
     rows = families.mna_distribution(8)
     for n, row in rows.items():
         assert sum(row.values()) == catalan(n)
+
+
+@pytest.mark.parametrize("terms, text", [
+    ({(2, 0): -3, (0, 0): 1}, "-3*x^2 + 1"),
+    ({(1, 1): 2, (0, 1): -1}, "2*x*y - y"),
+    ({(1, 1): -1}, "-x*y"),
+    ({(3, 2): 1, (1, 0): -1, (0, 2): 1}, "x^3*y^2 + y^2 - x"),
+    ({(0, 0): 7}, "7"),
+    ({(0, 0): -1}, "-1"),
+    ({(1, 0): 1, (0, 0): -1}, "x - 1"),
+    ({(-1, 2): 1, (0, 0): 2, (1, -3): -4}, "x^-1*y^2 + 2 - 4*x*y^-3"),
+    ({}, "0"),
+    ({(1, 0): 0}, "0"),
+], ids=["negative-lead", "negative-later", "unit-negative-lead", "unit-coefficients", "constant",
+        "negative-constant", "constant-later", "negative-exponents", "zero", "zero-coefficient"])
+def test_polynomial_text(terms, text):
+    assert str(LaurentPoly2(terms)) == text
+
+
+# Differential tests of the ring against plain Counter arithmetic.
+
+exponents = st.integers(-3, 3)
+term_dicts = st.dictionaries(st.tuples(exponents, exponents), st.integers(-3, 3), max_size=6)
+
+
+@st.composite
+def term_pairs(draw):
+    """Two term dicts, the second repeating some of the first's terms negated, so sums cancel."""
+    p = draw(term_dicts)
+    q = draw(term_dicts)
+    if p:
+        for k in draw(st.lists(st.sampled_from(sorted(p)), unique=True)):
+            q[k] = -p[k]
+    return p, q
+
+
+def clean(counts) -> dict:
+    return {k: c for k, c in counts.items() if c}
+
+
+def oracle_product(p, q) -> Counter:
+    out = Counter()
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            out[(a1 + a2, b1 + b2)] += c1 * c2
+    return out
+
+
+def assert_terms(poly, expected):
+    assert 0 not in poly.terms.values()
+    assert poly.terms == clean(expected)
+
+
+@given(term_pairs())
+def test_ring_matches_counter_oracle(pair):
+    p, q = pair
+    lp, lq = LaurentPoly2(p), LaurentPoly2(q)
+    assert_terms(lp, p)
+    total = Counter(p)
+    total.update(q)
+    assert_terms(lp + lq, total)
+    difference = Counter(p)
+    difference.subtract(q)
+    assert_terms(lp - lq, difference)
+    assert_terms(lp - lp, {})
+    assert_terms(-lp, {k: -c for k, c in p.items()})
+    assert_terms(lp * lq, oracle_product(p, q))
+
+
+@given(term_dicts, exponents, exponents)
+def test_substitutions_match_counter_oracle(p, a, b):
+    lp = LaurentPoly2(p)
+    assert_terms(lp.shift(a, b), {(x + a, y + b): c for (x, y), c in p.items()})
+    assert_terms(lp.swap_xy(), {(y, x): c for (x, y), c in p.items()})
+    y_one, y_x = Counter(), Counter()
+    for (x, y), c in p.items():
+        y_one[(x, 0)] += c
+        y_x[(x + y, 0)] += c
+    assert_terms(lp.subs_y_one(), y_one)
+    assert_terms(lp.subs_y_x(), y_x)
+
+
+@st.composite
+def series_pairs(draw):
+    order = draw(st.integers(0, 4))
+    coeffs = st.lists(term_dicts, min_size=order + 1, max_size=order + 1)
+    return order, draw(coeffs), draw(coeffs)
+
+
+def as_series(order, coeffs):
+    return TruncatedSeries(order, [LaurentPoly2(c) for c in coeffs])
+
+
+@settings(deadline=None)
+@given(series_pairs(), st.integers(0, 5), exponents, exponents)
+def test_series_products_match_truncated_convolution(pair, tpow, xpow, ypow):
+    order, f, g = pair
+    product = as_series(order, f) * as_series(order, g)
+    for k in range(order + 1):
+        expected = Counter()
+        for i in range(k + 1):
+            expected.update(oracle_product(f[i], g[k - i]))
+        assert_terms(product.coefficient(k), expected)
+    shifted = as_series(order, f).mul_monomial(tpow, xpow, ypow)
+    for k in range(order + 1):
+        expected = {} if k < tpow else {(x + xpow, y + ypow): c for (x, y), c in f[k - tpow].items()}
+        assert_terms(shifted.coefficient(k), expected)
+
+
+def test_series_orders_must_agree():
+    low, high = TruncatedSeries.one(3), TruncatedSeries.one(4)
+    for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError, match="series orders differ"):
+            combine(low, high)
+        with pytest.raises(ValueError, match="series orders differ"):
+            combine(high, low)

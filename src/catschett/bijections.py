@@ -10,7 +10,7 @@ from catschett.objects.paths import (
     is_laguerre_history,
     is_motzkin2_path,
     is_walk_pair,
-    motzkin2_heights,
+    laguerre_weight_caps,
     walk_from_positions,
 )
 from catschett.objects.permutations import (
@@ -36,12 +36,17 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _require_avoider(p: Perm, pattern: tuple[int, ...]) -> None:
+    check_permutation(p)
+    if not avoids(p, pattern):
+        raise ValueError(f"not {''.join(map(str, pattern))}-avoiding: {p}")
+
+
 # ---------- 231-avoiders and binary trees, run-transporting ----------
 
 def upsilon(p: Perm) -> BinaryTree:
     """Map a 231-avoider to a binary tree carrying runs onto chains."""
-    check_permutation(p)
-    _require(avoids(p, (2, 3, 1)), f"not 231-avoiding: {p}")
+    _require_avoider(p, (2, 3, 1))
     return _upsilon(p)
 
 
@@ -79,8 +84,7 @@ def _upsilon_inv(t: BinaryTree) -> Perm:
 
 def phi_classic(p: Perm) -> BinaryTree:
     """Map a 231-avoider to a binary tree by splitting at the greatest letter."""
-    check_permutation(p)
-    _require(avoids(p, (2, 3, 1)), f"not 231-avoiding: {p}")
+    _require_avoider(p, (2, 3, 1))
     return _phi_classic(p)
 
 
@@ -206,8 +210,7 @@ def _tau_parse(word: str, pos: int) -> tuple[BinaryTree, int]:
 
 def psi_kratt(p: Perm) -> str:
     """Map a 321-avoider to the Dyck path of its capped suffix-minimum heights."""
-    check_permutation(p)
-    _require(avoids(p, (3, 2, 1)), f"not 321-avoiding: {p}")
+    _require_avoider(p, (3, 2, 1))
     n = len(p)
     heights = []
     sufmin = n + 1
@@ -254,8 +257,7 @@ _LETTER_FROM_FLAGS = {(1, 0): "U", (1, 1): "T", (0, 1): "D", (0, 0): "H"}
 
 def lin_fu_phi(p: Perm) -> str:
     """Map a 321-avoider to a two-flavored Motzkin path via excedance flags."""
-    check_permutation(p)
-    _require(avoids(p, (3, 2, 1)), f"not 321-avoiding: {p}")
+    _require_avoider(p, (3, 2, 1))
     n = len(p)
     q = inverse(p)
     pos = [1 if p[i - 1] > i else 0 for i in range(1, n + 1)]
@@ -323,15 +325,13 @@ def phi_cap_inv(pair: tuple[str, str]) -> Perm:
 
 def eta(p: Perm) -> Perm:
     """Map a 321-avoider to a 312-avoider, fixing left-to-right maxima."""
-    check_permutation(p)
-    _require(avoids(p, (3, 2, 1)), f"not 321-avoiding: {p}")
+    _require_avoider(p, (3, 2, 1))
     return _simion_schmidt(p, pick_largest=True)
 
 
 def eta_inv(p: Perm) -> Perm:
     """Invert the left-to-right-maxima rewriting."""
-    check_permutation(p)
-    _require(avoids(p, (3, 1, 2)), f"not 312-avoiding: {p}")
+    _require_avoider(p, (3, 1, 2))
     return _simion_schmidt(p, pick_largest=False)
 
 
@@ -410,26 +410,19 @@ def fz_history_inv(word: str, weights) -> Perm:
     return check_permutation(tuple(s for s in slots if s is not None))
 
 
-def _fz_weight_caps(word: str) -> tuple[int, ...]:
-    heights = motzkin2_heights(word)
-    return tuple(h if ch in "UH" else h - 1 for ch, h in zip(word, heights))
-
-
 def psi_fz(p: Perm) -> Perm:
     """Map a 312-avoider to the 231-avoider with the same valley-peak word."""
-    check_permutation(p)
-    _require(avoids(p, (3, 1, 2)), f"not 312-avoiding: {p}")
+    _require_avoider(p, (3, 1, 2))
     word, weights = fz_history(p)
     _require(all(w == 0 for w in weights), f"unexpected nesting weights: {p}")
-    return fz_history_inv(word, _fz_weight_caps(word))
+    return fz_history_inv(word, laguerre_weight_caps(word))
 
 
 def psi_fz_inv(p: Perm) -> Perm:
     """Invert the valley-peak-word rewriting toward 312-avoiders."""
-    check_permutation(p)
-    _require(avoids(p, (2, 3, 1)), f"not 231-avoiding: {p}")
+    _require_avoider(p, (2, 3, 1))
     word, weights = fz_history(p)
-    _require(weights == _fz_weight_caps(word), f"unexpected nesting weights: {p}")
+    _require(weights == laguerre_weight_caps(word), f"unexpected nesting weights: {p}")
     return fz_history_inv(word, (0,) * len(word))
 
 
@@ -477,8 +470,7 @@ def _vartheta(t: PlaneTree) -> Perm:
 
 def vartheta_inv(p: Perm) -> PlaneTree:
     """Invert the first-leaf splitting map."""
-    check_permutation(p)
-    _require(avoids(p, (2, 3, 1)), f"not 231-avoiding: {p}")
+    _require_avoider(p, (2, 3, 1))
     return _vartheta_inv(p)
 
 
@@ -550,8 +542,7 @@ def _gamma_restricted(n: int) -> dict[tuple[str, str], Perm]:
 
 def gamma_theta(p: Perm) -> Perm:
     """Carry a 231-avoider through the walk-pair map into the walk-triple preimage."""
-    check_permutation(p)
-    _require(avoids(p, (2, 3, 1)), f"not 231-avoiding: {p}")
+    _require_avoider(p, (2, 3, 1))
     mu, nu = theta(p)
     table = _gamma_restricted(len(p))
     key = (mu, nu)

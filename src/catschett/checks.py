@@ -205,11 +205,11 @@ def _check_thm13(params: dict) -> CheckResult:
         lhs: dict[tuple[int, int], int] = {}
         for p in avoiders(n, (2, 3, 1)):
             t = upsilon(p)
-            if sorted(descending_run_multiset(p)) != sorted(left_chain_orders(t)):
+            if descending_run_multiset(p) != left_chain_orders(t):
                 return _fail("thm1.3", params,
                              f"descending-run multiset differs from left-chain orders at n={n}",
                              serialize_permutation(p))
-            if sorted(ascending_run_multiset(inverse(p))) != sorted(right_chain_orders(t)):
+            if ascending_run_multiset(inverse(p)) != right_chain_orders(t):
                 return _fail("thm1.3", params,
                              f"inverse ascending-run multiset differs from right-chain orders at n={n}",
                              serialize_permutation(p))

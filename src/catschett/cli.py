@@ -10,6 +10,7 @@ from catschett import config
 from catschett.checks import CHECK_NAMES, run_check
 from catschett.maps import ALIASES, transport_map, transport_maps
 from catschett.objects.paths import (
+    DYCK_STEPS,
     dyck_paths,
     is_dyck_path,
     laguerre_histories,
@@ -44,7 +45,16 @@ from catschett.statistics import (
 
 _PATTERNS = tuple("".join(map(str, p)) for p in CLASSICAL_PATTERNS)
 
-_FAMILIES = ("avoiders", "btree", "ptree", "dyck", "motzkin2", "walkpair", "laguerre")
+# family name -> (generator of the objects of size n, text form of one object)
+_FAMILIES = {
+    "avoiders": (avoiders, serialize_permutation),
+    "btree": (binary_trees, serialize_binary_tree),
+    "ptree": (plane_trees, serialize_plane_tree),
+    "dyck": (dyck_paths, str),
+    "motzkin2": (motzkin2_paths, str),
+    "walkpair": (walk_pairs, serialize_walk_pair),
+    "laguerre": (laguerre_histories, serialize_laguerre_history),
+}
 
 _SERIES = ("G", "EE", "EO", "OE", "OO", "M", "LE", "LO", "E", "O", "A", "B")
 
@@ -59,19 +69,10 @@ def _bounded_size(n: int) -> int:
 
 
 def _enumerate_lines(family: str, n: int, pattern: tuple[int, ...]) -> list[str]:
-    if family == "avoiders":
-        return [serialize_permutation(p) for p in avoiders(n, pattern)]
-    if family == "btree":
-        return sorted(serialize_binary_tree(t) for t in binary_trees(n))
-    if family == "ptree":
-        return sorted(serialize_plane_tree(t) for t in plane_trees(n))
-    if family == "dyck":
-        return sorted(dyck_paths(n))
-    if family == "motzkin2":
-        return sorted(motzkin2_paths(n))
-    if family == "walkpair":
-        return sorted(serialize_walk_pair(pair) for pair in walk_pairs(n))
-    return sorted(serialize_laguerre_history(h) for h in laguerre_histories(n))
+    generate, render = _FAMILIES[family]
+    if family == "avoiders":  # already lexicographic
+        return [render(p) for p in generate(n, pattern)]
+    return sorted(map(render, generate(n)))
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -90,7 +91,7 @@ def _stats_record(line: str) -> dict:
     s = line.strip()
     if s == "" or s[0].isdigit():
         return permutation_profile(parse_permutation(s))
-    if set(s) <= {"E", "N"}:
+    if set(s) <= DYCK_STEPS.keys():
         if not is_dyck_path(s):
             raise ValueError(f"not a balanced east-north word: {s!r}")
         return dyck_profile(s)

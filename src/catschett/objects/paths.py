@@ -5,45 +5,53 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator
 
-DYCK_STEPS = frozenset("EN")
-MOTZKIN_STEPS = frozenset("UDHT")  # T renders the second flavor of level step
+# Each lattice-word family is a table from its letters to the height change each
+# makes; a word of the family keeps its height >= 0 and ends at height 0.  Table
+# order is generation order.
+DYCK_STEPS = {"E": 1, "N": -1}
+MOTZKIN_STEPS = {"D": -1, "H": 0, "T": 0, "U": 1}  # T renders the second flavor of level step
+# a walk pair (mu, nu) read as one word of step pairs; the height is nu's east lead over mu
+WALK_PAIR_STEPS = {"EE": 0, "EN": -1, "NE": 1, "NN": 0}
 
 
-def is_dyck_path(word: str, n: int | None = None) -> bool:
-    """Test the east/north ballot condition with equal totals."""
-    e = nn = 0
-    for ch in word:
-        if ch == "E":
-            e += 1
-        elif ch == "N":
-            nn += 1
-            if nn > e:
+def _walk(steps: dict[str, int], length: int) -> Iterator[str]:
+    """Every word of ``length`` letters of ``steps`` that stays >= 0 and ends at 0, in table order."""
+    moves = list(steps.items())[::-1]  # pushed in reverse, popped in table order
+    stack = [("", 0, length)]
+    while stack:
+        prefix, h, left = stack.pop()
+        if not left:
+            yield prefix
+            continue
+        left -= 1
+        for letter, dh in moves:
+            if 0 <= h + dh <= left:
+                stack.append((prefix + letter, h + dh, left))
+
+
+def _scan(steps: dict[str, int], word) -> bool:
+    """Test that every letter of ``word`` is in ``steps``, the height stays >= 0 and ends at 0."""
+    h = 0
+    try:
+        for letter in word:
+            h += steps[letter]
+            if h < 0:
                 return False
-        else:
-            return False
-    return e == nn and (n is None or e == n)
+    except KeyError:
+        return False
+    return h == 0
+
+
+def is_dyck_path(word: str) -> bool:
+    """Test the east/north ballot condition with equal totals."""
+    return _scan(DYCK_STEPS, word)
 
 
 def dyck_paths(n: int) -> Iterator[str]:
     """Generate all Dyck paths with n east and n north steps, lexicographically."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    word: list[str] = []
-
-    def extend(e: int, nn: int) -> Iterator[str]:
-        if e == n and nn == n:
-            yield "".join(word)
-            return
-        if e < n:
-            word.append("E")
-            yield from extend(e + 1, nn)
-            word.pop()
-        if nn < e:
-            word.append("N")
-            yield from extend(e, nn + 1)
-            word.pop()
-
-    return extend(0, 0)
+    return _walk(DYCK_STEPS, 2 * n)
 
 
 def platform_multiset(word: str) -> tuple[int, ...]:
@@ -70,29 +78,15 @@ def east_heights(word: str) -> tuple[int, ...]:
 
 def dyck_composition(word: str) -> tuple[int, ...]:
     """East counts of the segments cut just before the last step of each long east run."""
-    runs: list[tuple[int, int]] = []  # (first east index, length), east steps numbered from 1
-    idx = 0
-    k = 0
-    for ch in word:
-        if ch == "E":
-            idx += 1
-            k += 1
-        elif k:
-            runs.append((idx - k + 1, k))
-            k = 0
-    if k:
-        runs.append((idx - k + 1, k))
-    total = idx
-    if total == 0:
-        return ()
-    # the cut falls just before the last east step of each long run
-    boundaries = [first + length - 2 for first, length in runs if length >= 2]
     parts: list[int] = []
-    prev = 0
-    for b in boundaries:
-        parts.append(b - prev)
-        prev = b
-    parts.append(total - prev)
+    east = cut = 0
+    for k in ascending_step_runs(word):
+        east += k
+        if k >= 2:
+            parts.append(east - 1 - cut)
+            cut = east - 1
+    if east:
+        parts.append(east - cut)
     return tuple(parts)
 
 
@@ -132,42 +126,14 @@ def ver_set(walk: str) -> frozenset[int]:
 
 def is_walk_pair(mu: str, nu: str) -> bool:
     """Test equal length, equal east totals, and eastwise dominance of nu over mu."""
-    if len(mu) != len(nu):
-        return False
-    if any(ch not in DYCK_STEPS for ch in mu + nu):
-        return False
-    d = 0
-    for a, b in zip(mu, nu):
-        d += (b == "E") - (a == "E")
-        if d < 0:
-            return False
-    return d == 0
+    return len(mu) == len(nu) and _scan(WALK_PAIR_STEPS, map(str.__add__, mu, nu))
 
 
 def walk_pairs(n: int) -> Iterator[tuple[str, str]]:
     """Generate all dominated east/north walk pairs of length n-1."""
     if n < 1:
         raise ValueError("n must be positive")
-    m = n - 1
-    mu: list[str] = []
-    nu: list[str] = []
-
-    def extend(d: int, left: int) -> Iterator[tuple[str, str]]:
-        if left == 0:
-            if d == 0:
-                yield "".join(mu), "".join(nu)
-            return
-        for a, b in (("E", "E"), ("E", "N"), ("N", "E"), ("N", "N")):
-            nd = d + (b == "E") - (a == "E")
-            if nd < 0 or nd > left - 1:
-                continue
-            mu.append(a)
-            nu.append(b)
-            yield from extend(nd, left - 1)
-            mu.pop()
-            nu.pop()
-
-    return extend(0, m)
+    return ((w[0::2], w[1::2]) for w in _walk(WALK_PAIR_STEPS, n - 1))
 
 
 def serialize_walk_pair(pair: tuple[str, str]) -> str:
@@ -193,18 +159,7 @@ def serialize_walk_triple(triple: tuple[str, str, str]) -> str:
 
 def is_walk_triple(top: str, middle: str, bottom: str) -> bool:
     """Test equal length, equal east totals, and the eastwise dominance chain."""
-    if not len(top) == len(middle) == len(bottom):
-        return False
-    if any(ch not in DYCK_STEPS for ch in top + middle + bottom):
-        return False
-    dt = dm = db = 0
-    for a, b, c in zip(top, middle, bottom):
-        dt += a == "E"
-        dm += b == "E"
-        db += c == "E"
-        if not db >= dm >= dt:
-            return False
-    return dt == dm == db
+    return is_walk_pair(top, middle) and is_walk_pair(middle, bottom)
 
 
 def parse_walk_triple(text: str) -> tuple[str, str, str]:
@@ -220,68 +175,31 @@ def parse_walk_triple(text: str) -> tuple[str, str, str]:
 
 def is_motzkin2_path(word: str) -> bool:
     """Test that up/down/level steps stay nonnegative and end at height zero."""
-    h = 0
-    for ch in word:
-        if ch == "U":
-            h += 1
-        elif ch == "D":
-            h -= 1
-            if h < 0:
-                return False
-        elif ch not in MOTZKIN_STEPS:
-            return False
-    return h == 0
+    return _scan(MOTZKIN_STEPS, word)
 
 
 def motzkin2_paths(m: int) -> Iterator[str]:
     """Generate all two-flavored Motzkin paths with m steps."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    word: list[str] = []
-
-    def extend(h: int, left: int) -> Iterator[str]:
-        if left == 0:
-            if h == 0:
-                yield "".join(word)
-            return
-        for ch in "DHTU":
-            if ch == "U":
-                nh = h + 1
-            elif ch == "D":
-                nh = h - 1
-            else:
-                nh = h
-            if nh < 0 or nh > left - 1:
-                continue
-            word.append(ch)
-            yield from extend(nh, left - 1)
-            word.pop()
-
-    return extend(0, m)
+    return _walk(MOTZKIN_STEPS, m)
 
 
-def motzkin2_heights(word: str) -> tuple[int, ...]:
-    """Height before each step."""
-    heights: list[int] = []
+def laguerre_weight_caps(word: str) -> tuple[int, ...]:
+    """Largest weight of each step of a history: the height before it, less one after D or T."""
+    caps: list[int] = []
     h = 0
-    for ch in word:
-        heights.append(h)
-        if ch == "U":
-            h += 1
-        elif ch == "D":
-            h -= 1
-    return tuple(heights)
+    for letter in word:
+        caps.append(h if letter in "UH" else h - 1)
+        h += MOTZKIN_STEPS[letter]
+    return tuple(caps)
 
 
 def is_laguerre_history(word: str, weights: tuple[int, ...]) -> bool:
     """Test a Motzkin word with per-step weights below height, strictly for down/second-level steps."""
     if not is_motzkin2_path(word) or len(word) != len(weights):
         return False
-    for ch, h, w in zip(word, motzkin2_heights(word), weights):
-        cap = h if ch in "UH" else h - 1
-        if not 0 <= w <= cap:
-            return False
-    return True
+    return all(0 <= w <= cap for w, cap in zip(weights, laguerre_weight_caps(word)))
 
 
 def laguerre_histories(n: int) -> Iterator[tuple[str, tuple[int, ...]]]:
@@ -289,12 +207,7 @@ def laguerre_histories(n: int) -> Iterator[tuple[str, tuple[int, ...]]]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     for word in motzkin2_paths(n):
-        heights = motzkin2_heights(word)
-        ranges = [
-            range(h + 1) if ch in "UH" else range(h)
-            for ch, h in zip(word, heights)
-        ]
-        for weights in product(*ranges):
+        for weights in product(*(range(cap + 1) for cap in laguerre_weight_caps(word))):
             yield word, weights
 
 

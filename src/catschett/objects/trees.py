@@ -64,36 +64,31 @@ def _parse_binary(text: str, pos: int) -> tuple[BinaryTree, int]:
     return (left, right), pos + 1
 
 
-def left_chain_orders(t: BinaryTree) -> tuple[int, ...]:
-    """Multiset of orders of maximal left chains, sorted descending."""
+def _chain_orders(t: BinaryTree, child: int) -> tuple[int, ...]:
+    """Multiset of orders of the maximal chains through ``child`` (0 left, 1 right), descending."""
     orders: list[int] = []
+    other = 1 - child
     stack = [] if t is None else [t]
     while stack:
         node = stack.pop()
         k = 0
         while node is not None:
             k += 1
-            if node[1] is not None:
-                stack.append(node[1])
-            node = node[0]
+            if node[other] is not None:
+                stack.append(node[other])
+            node = node[child]
         orders.append(k)
     return tuple(sorted(orders, reverse=True))
+
+
+def left_chain_orders(t: BinaryTree) -> tuple[int, ...]:
+    """Multiset of orders of maximal left chains, sorted descending."""
+    return _chain_orders(t, 0)
 
 
 def right_chain_orders(t: BinaryTree) -> tuple[int, ...]:
     """Multiset of orders of maximal right chains, sorted descending."""
-    orders: list[int] = []
-    stack = [] if t is None else [t]
-    while stack:
-        node = stack.pop()
-        k = 0
-        while node is not None:
-            k += 1
-            if node[0] is not None:
-                stack.append(node[0])
-            node = node[1]
-        orders.append(k)
-    return tuple(sorted(orders, reverse=True))
+    return _chain_orders(t, 1)
 
 
 def left_arm(t: BinaryTree) -> int:

@@ -8,7 +8,10 @@ never auto-corrects: every reading is reported with its own residual outcome.
 
 import hashlib
 import json
+from collections.abc import Mapping
+from functools import cache
 from importlib import resources
+from types import MappingProxyType
 
 from catschett.serieslab import families
 from catschett.serieslab.laurent import LaurentPoly2
@@ -22,18 +25,22 @@ Equations = list[tuple[str, TruncatedSeries, TruncatedSeries]]
 Readings = list[tuple[str, Equations]]
 
 
-def load_appendix_coefficients() -> dict[str, list]:
-    """Load the transcribed equation coefficients, verifying the stored checksum."""
+@cache
+def load_appendix_coefficients() -> Mapping[str, tuple]:
+    """The transcribed equation coefficients, checksum-verified once per process.
+
+    Read-only: a mapping proxy from key to a tuple of (t, x, y, coefficient) rows.
+    """
     text = resources.files("catschett.serieslab").joinpath("appendix_coefficients.json").read_text()
     data = json.loads(text)
     payload = json.dumps(data["coefficients"], sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(payload.encode()).hexdigest()
     if digest != data["sha256"]:
         raise ValueError("appendix coefficient data does not match its checksum")
-    return data["coefficients"]
+    return MappingProxyType({key: tuple(map(tuple, rows)) for key, rows in data["coefficients"].items()})
 
 
-def coefficient_series(coeffs: dict[str, list], key: str, order: int) -> TruncatedSeries:
+def coefficient_series(coeffs: Mapping[str, tuple], key: str, order: int) -> TruncatedSeries:
     """One stored coefficient polynomial as a truncated series in t with Laurent coefficients."""
     per_order: dict[int, dict[tuple[int, int], int]] = {}
     for td, xd, yd, c in coeffs[key]:

@@ -56,7 +56,8 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         o = self._same_order(other)
-        out = [LaurentPoly2.zero() for _ in range(self.order + 1)]
+        # each output coefficient is summed in one dict and built once
+        sums: list[dict[tuple[int, int], int]] = [{} for _ in range(self.order + 1)]
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -64,8 +65,10 @@ class TruncatedSeries:
                 b = o.coeffs[j]
                 if not b:
                     continue
-                out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.order, out)
+                acc = sums[i + j]
+                for k, c in (a * b).terms.items():
+                    acc[k] = acc.get(k, 0) + c
+        return TruncatedSeries(self.order, [LaurentPoly2(acc) for acc in sums])
 
     def mul_monomial(self, tpow: int, xpow: int = 0, ypow: int = 0) -> "TruncatedSeries":
         """Multiply by t^tpow * x^xpow * y^ypow (tpow >= 0)."""

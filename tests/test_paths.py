@@ -1,5 +1,7 @@
 """Lattice-path object layer: Dyck paths, walks, Motzkin paths, histories."""
 
+import hashlib
+import itertools
 import math
 
 import pytest
@@ -16,6 +18,7 @@ from catschett.objects.paths import (
     is_walk_triple,
     is_zigzag,
     laguerre_histories,
+    laguerre_weight_caps,
     motzkin2_paths,
     parse_laguerre_history,
     parse_walk_pair,
@@ -131,3 +134,82 @@ def test_laguerre_counts():
 def test_laguerre_serialization():
     for h in laguerre_histories(4):
         assert parse_laguerre_history(serialize_laguerre_history(h)) == h
+
+
+# sha256 of the lines "<n> <object text>" over the listed sizes, in generation order,
+# recorded before the families became step tables
+SEQUENCE_DIGESTS = {
+    "dyck": (dyck_paths, str, range(10),
+             "14593dd656ae9b88e3b33cc5ceda82ba618ca6498c0ce447130f59cafcf09998"),
+    "motzkin2": (motzkin2_paths, str, range(10),
+                 "45916a6e7074891e0f197062a5cb44b91b062f78a1d6312d66050e47d57dd248"),
+    "walkpair": (walk_pairs, serialize_walk_pair, range(1, 10),
+                 "dffdbaaf17ac223461e39a23d089f8c0d2ff90006d134af364db4fe5c315b690"),
+    "laguerre": (laguerre_histories, serialize_laguerre_history, range(8),
+                 "9769d91f2bb25c242c3e4f9719d16cd3c8a34a65e0edf3c22c9ca5161eca6d27"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SEQUENCE_DIGESTS))
+def test_generation_order_is_pinned(family):
+    generate, render, sizes, expected = SEQUENCE_DIGESTS[family]
+    text = "\n".join(f"{n} {render(x)}" for n in sizes for x in generate(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+def _words(alphabet, max_len):
+    for k in range(max_len + 1):
+        for letters in itertools.product(alphabet, repeat=k):
+            yield "".join(letters)
+
+
+def _ballot(word, up, down, alphabet):
+    """Brute force: only alphabet letters, no prefix with more down than up letters, equal totals."""
+    return (set(word) <= set(alphabet)
+            and all(word[:i].count(down) <= word[:i].count(up) for i in range(len(word) + 1))
+            and word.count(down) == word.count(up))
+
+
+def _east_counts(walk):
+    return [walk[:i].count("E") for i in range(len(walk) + 1)]
+
+
+def _dominates(mu, nu):
+    """Brute force: equal length, only E/N, nu's east count never behind mu's and equal at the end."""
+    if len(mu) != len(nu) or not set(mu + nu) <= {"E", "N"}:
+        return False
+    low, high = _east_counts(mu), _east_counts(nu)
+    return all(a <= b for a, b in zip(low, high)) and low[-1] == high[-1]
+
+
+def test_dyck_validator_matches_prefix_counts():
+    for w in _words("ENX", 8):
+        assert is_dyck_path(w) == _ballot(w, "E", "N", "EN"), w
+
+
+def test_motzkin2_validator_matches_prefix_counts():
+    for w in _words("DHTUX", 6):
+        assert is_motzkin2_path(w) == _ballot(w, "U", "D", "UDHT"), w
+
+
+def test_walk_pair_validator_matches_prefix_counts():
+    walks = list(_words("ENX", 5))
+    for mu in walks:
+        for nu in walks:
+            assert is_walk_pair(mu, nu) == _dominates(mu, nu), (mu, nu)
+
+
+def test_walk_triple_validator_matches_prefix_counts():
+    walks = list(_words("ENX", 3))
+    for top, middle, bottom in itertools.product(walks, repeat=3):
+        expected = _dominates(top, middle) and _dominates(middle, bottom)
+        assert is_walk_triple(top, middle, bottom) == expected, (top, middle, bottom)
+
+
+def test_laguerre_weight_caps_match_recomputed_heights():
+    for w in _words("DHTU", 6):
+        heights = [w[:i].count("U") - w[:i].count("D") for i in range(len(w))]
+        expected = tuple(h if ch in "UH" else h - 1 for ch, h in zip(w, heights))
+        assert laguerre_weight_caps(w) == expected, w
+    with pytest.raises(KeyError):
+        laguerre_weight_caps("UXD")

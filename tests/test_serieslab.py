@@ -116,6 +116,14 @@ def test_appendix_coefficients_checksum():
     coeffs = residuals.load_appendix_coefficients()
     assert "alg_gf1_a0" in coeffs
     assert "alg_gf2_b6" in coeffs
+    # verified once per process and shared read-only
+    assert residuals.load_appendix_coefficients() is coeffs
+    with pytest.raises(TypeError):
+        coeffs["alg_gf1_a0"] = ()
+    with pytest.raises(TypeError):
+        coeffs["alg_gf1_a0"][0] = (0, 0, 0, 0)
+    with pytest.raises(TypeError):
+        coeffs["alg_gf1_a0"][0][3] = 0
 
 
 def test_appendix_coefficients_rebuild_from_source_script(tmp_path):

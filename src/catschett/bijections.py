@@ -5,7 +5,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from catschett.objects.paths import (
-    east_heights,
     is_dyck_path,
     is_laguerre_history,
     is_motzkin2_path,
@@ -19,11 +18,10 @@ from catschett.objects.permutations import (
     avoiders,
     avoids,
     check_permutation,
-    greatest_letter_decompose,
     inverse,
     is_baxter,
 )
-from catschett.objects.trees import BinaryTree, PlaneTree, plane_node_count
+from catschett.objects.trees import BinaryTree, PlaneTree
 from catschett.statistics import (
     descent_bottoms,
     descent_set,
@@ -47,37 +45,43 @@ def _require_avoider(p: Perm, pattern: tuple[int, ...]) -> None:
 def upsilon(p: Perm) -> BinaryTree:
     """Map a 231-avoider to a binary tree carrying runs onto chains."""
     _require_avoider(p, (2, 3, 1))
-    return _upsilon(p)
+    return _upsilon(p, 0, len(p), 0)
 
 
-def _upsilon(p: Perm) -> BinaryTree:
-    if not p:
+def _upsilon(p: Perm, lo: int, hi: int, base: int) -> BinaryTree:
+    # the block p[lo:hi] holds the values base+1..base+hi-lo; split at its first letter k
+    if lo == hi:
         return None
-    k = p[0]
-    low = p[1:k]
-    high = tuple(v - k for v in p[k:])
+    k = p[lo] - base
+    high = _upsilon(p, lo + k, hi, base + k)
     if k == 1:
-        return (None, _upsilon(high))
-    ul, ur = _upsilon(low)
-    return ((ul, _upsilon(high)), ur)
+        return (None, high)
+    ul, ur = _upsilon(p, lo + 1, lo + k, base)
+    return ((ul, high), ur)
 
 
 def upsilon_inv(t: BinaryTree) -> Perm:
     """Invert the run-transporting tree map."""
-    return _upsilon_inv(t)
+    out: list[int] = []
+    _upsilon_inv(t, 0, out)
+    return tuple(out)
 
 
-def _upsilon_inv(t: BinaryTree) -> Perm:
-    if t is None:
-        return ()
-    if t[0] is None:
-        rest = _upsilon_inv(t[1])
-        return (1,) + tuple(v + 1 for v in rest)
-    (ul, mid), ur = t
-    low = _upsilon_inv((ul, ur))
-    high = _upsilon_inv(mid)
-    k = len(low) + 1
-    return (k,) + low + tuple(v + k for v in high)
+def _upsilon_inv(t: BinaryTree, base: int, out: list[int]) -> None:
+    # appends (k . low) directsum high, values shifted by base; k is known once low is written
+    while t is not None:
+        left, right = t
+        at = len(out)
+        out.append(0)
+        if left is None:
+            high = right
+        else:
+            ul, high = left
+            _upsilon_inv((ul, right), base, out)
+        k = len(out) - at
+        out[at] = base + k
+        base += k
+        t = high
 
 
 # ---------- 231-avoiders and binary trees, greatest-letter recursion ----------
@@ -85,43 +89,65 @@ def _upsilon_inv(t: BinaryTree) -> Perm:
 def phi_classic(p: Perm) -> BinaryTree:
     """Map a 231-avoider to a binary tree by splitting at the greatest letter."""
     _require_avoider(p, (2, 3, 1))
-    return _phi_classic(p)
-
-
-def _phi_classic(p: Perm) -> BinaryTree:
-    if not p:
-        return None
-    alpha, _, beta = greatest_letter_decompose(p)
-    return (_phi_classic(alpha), _phi_classic(beta))
+    # one stack pass: the stack holds the right spine built so far, each entry a
+    # letter with its finished left subtree; a larger letter closes the entries below it
+    spine: list[tuple[int, BinaryTree]] = []
+    for v in p:
+        below = None
+        while spine and spine[-1][0] < v:
+            below = (spine.pop()[1], below)
+        spine.append((v, below))
+    tree = None
+    while spine:
+        tree = (spine.pop()[1], tree)
+    return tree
 
 
 def phi_classic_inv(t: BinaryTree) -> Perm:
     """Invert the greatest-letter tree map."""
-    if t is None:
-        return ()
-    alpha = phi_classic_inv(t[0])
-    beta = phi_classic_inv(t[1])
-    a = len(alpha)
-    return alpha + (a + len(beta) + 1,) + tuple(v + a for v in beta)
+    # positions follow the in-order walk and values the post-order walk, since
+    # alpha's letters lie below beta's and both below the greatest letter
+    out: list[int] = []
+    if t is not None:
+        _phi_classic_fill(t, out, 0)
+    return tuple(out)
+
+
+def _phi_classic_fill(t: tuple, out: list[int], done: int) -> int:
+    # appends t's letters; done nodes were finished (post-order) before t; returns the new count
+    left, right = t
+    if left is not None:
+        done = _phi_classic_fill(left, out, done)
+    at = len(out)
+    out.append(0)
+    if right is not None:
+        done = _phi_classic_fill(right, out, done)
+    out[at] = done + 1
+    return done + 1
 
 
 # ---------- binary trees and dominated walk pairs ----------
 
 def viennot_v(t: BinaryTree) -> tuple[str, str]:
     """Map a binary tree to a dominated walk pair via second-visit edge labels."""
-    mu, nu = _v_words(t)
+    mu: list[str] = []
+    nu: list[str] = []
+    if t is not None:
+        _v_words(t, mu, nu)
     return "".join(mu), "".join(nu)
 
 
-def _v_words(t: BinaryTree) -> tuple[list[str], list[str]]:
-    if t is None:
-        return [], []
+def _v_words(t: tuple, mu: list[str], nu: list[str]) -> None:
+    # mu = mu(a) N mu(b) E and nu = nu(a) N E nu(b), each letter only for a present child
     a, b = t
-    mu_a, nu_a = _v_words(a)
-    mu_b, nu_b = _v_words(b)
-    mu = mu_a + (["N"] if a is not None else []) + mu_b + (["E"] if b is not None else [])
-    nu = nu_a + (["N"] if a is not None else []) + (["E"] if b is not None else []) + nu_b
-    return mu, nu
+    if a is not None:
+        _v_words(a, mu, nu)
+        mu.append("N")
+        nu.append("N")
+    if b is not None:
+        nu.append("E")
+        _v_words(b, mu, nu)
+        mu.append("E")
 
 
 def viennot_v_inv(pair: tuple[str, str]) -> BinaryTree:
@@ -212,17 +238,17 @@ def psi_kratt(p: Perm) -> str:
     """Map a 321-avoider to the Dyck path of its capped suffix-minimum heights."""
     _require_avoider(p, (3, 2, 1))
     n = len(p)
-    heights = []
-    sufmin = n + 1
-    for i in range(n, 0, -1):
-        sufmin = min(sufmin, p[i - 1])
-        heights.append(min(i - 1, sufmin - 1))
-    heights.reverse()
+    # east step i (0-based) sits at height min(i, min(p[i:]) - 1)
+    heights = [0] * n
+    low = n
+    for i in range(n - 1, -1, -1):
+        if p[i] <= low:
+            low = p[i] - 1
+        heights[i] = i if i < low else low
     word = []
     prev = 0
     for g in heights:
-        word.append("N" * (g - prev))
-        word.append("E")
+        word.append("N" * (g - prev) + "E")
         prev = g
     word.append("N" * (n - prev))
     return "".join(word)
@@ -231,22 +257,18 @@ def psi_kratt(p: Perm) -> str:
 def psi_kratt_inv(word: str) -> Perm:
     """Invert the capped-heights map; run-final east steps carry the forced low values."""
     _require(is_dyck_path(word), f"not a Dyck path: {word!r}")
-    g = east_heights(word)
-    n = len(g)
-    final = [i == n - 1 or g[i + 1] > g[i] for i in range(n)]
-    p = [0] * n
-    taken = [False] * (n + 1)
-    for i in range(n):
-        if final[i]:
-            v = g[i] + 1
-            _require(not taken[v], f"height clash at east step {i + 1}: {word!r}")
-            p[i] = v
-            taken[v] = True
-    free = [v for v in range(1, n + 1) if not taken[v]]
-    it = iter(free)
-    for i in range(n):
-        if not final[i]:
-            p[i] = next(it)
+    # the east steps after the h-th north step stand at height h; the last of each
+    # such run takes the value h + 1 and the others take the unused values in order
+    runs = word.split("N")
+    free = [v for v, run in enumerate(runs[:-1], start=1) if not run]
+    p: list[int] = []
+    used = 0
+    for h, run in enumerate(runs):
+        if run:
+            k = len(run) - 1
+            p += free[used:used + k]
+            used += k
+            p.append(h + 1)
     return check_permutation(p)
 
 
@@ -338,17 +360,16 @@ def eta_inv(p: Perm) -> Perm:
 def _simion_schmidt(p: Perm, pick_largest: bool) -> Perm:
     n = len(p)
     used = [False] * (n + 1)
-    out = [0] * n
+    out = list(p)  # left-to-right maxima keep their places
+    rest = []  # (position, running maximum) of every other entry
     cur_max = 0
     for i, v in enumerate(p):
         if v > cur_max:
             cur_max = v
-            out[i] = v
             used[v] = True
-    for i, v in enumerate(p):
-        if out[i]:
-            continue
-        running_max = max(p[:i + 1])
+        else:
+            rest.append((i, cur_max))
+    for i, running_max in rest:
         choices = range(running_max - 1, 0, -1) if pick_largest else range(1, running_max)
         for c in choices:
             if not used[c]:
@@ -367,12 +388,17 @@ def fz_history(p: Perm) -> tuple[str, tuple[int, ...]]:
     check_permutation(p)
     n = len(p)
     q = inverse(p)
+    framed = (0, *p, n + 1)  # framed[j] is the letter at position j, with 0 and n+1 outside
     word = []
     weights = []
-    for i in range(1, n + 1):
-        j = q[i - 1]
-        left = p[j - 2] if j >= 2 else 0
-        right = p[j] if j <= n - 1 else n + 1
+    # bit m of ``straddling`` marks the descent at positions (m, m+1) whose bottom is
+    # below the current value and whose top is above it; the weight of value i at
+    # position j counts those with m + 1 < j
+    straddling = 0
+    for i, j in enumerate(q, start=1):
+        left, right = framed[j - 1], framed[j + 1]
+        if right < i:
+            straddling &= ~(1 << j)
         if left > i < right:
             ch = "U"
         elif left < i > right:
@@ -382,7 +408,9 @@ def fz_history(p: Perm) -> tuple[str, tuple[int, ...]]:
         else:
             ch = "T"
         word.append(ch)
-        weights.append(sum(1 for k in range(1, j - 1) if p[k] < i < p[k - 1]))
+        weights.append((straddling & ((1 << (j - 1)) - 1)).bit_count())
+        if left > i:
+            straddling |= 1 << (j - 1)
     return "".join(word), tuple(weights)
 
 
@@ -391,23 +419,21 @@ def fz_history_inv(word: str, weights) -> Perm:
     weights = tuple(weights)
     _require(is_laguerre_history(word, weights),
              f"not a valid weighted history: {word!r} {weights}")
-    n = len(word)
-    slots: list[int | None] = [None]
-    for i in range(1, n + 1):
-        ch = word[i - 1]
-        w = weights[i - 1]
-        gap_positions = [k for k, s in enumerate(slots) if s is None]
-        at = gap_positions[w]
-        if ch == "U":
-            slots[at: at + 1] = [None, i, None]
-        elif ch == "H":
-            slots[at: at + 1] = [i, None]
-        elif ch == "T":
-            slots[at: at + 1] = [None, i]
-        else:
-            slots[at: at + 1] = [i]
-    _require(slots.count(None) == 1, f"slot bookkeeping failed: {word!r}")
-    return check_permutation(tuple(s for s in slots if s is not None))
+    # the letters placed so far, cut at the open slots: slot w lies between
+    # blocks[w] and blocks[w + 1], and value i fills slot weights[i - 1]
+    blocks: list[list[int]] = [[], []]
+    for i, (ch, w) in enumerate(zip(word, weights), start=1):
+        if ch == "U":  # i with a slot on each side
+            blocks.insert(w + 1, [i])
+        elif ch == "H":  # i with a slot after it
+            blocks[w].append(i)
+        elif ch == "T":  # i with a slot before it
+            blocks[w + 1].insert(0, i)
+        else:  # i closes the slot
+            blocks[w].append(i)
+            blocks[w].extend(blocks.pop(w + 1))
+    _require(len(blocks) == 2, f"slot bookkeeping failed: {word!r}")
+    return check_permutation(blocks[0] + blocks[1])
 
 
 def psi_fz(p: Perm) -> Perm:
@@ -440,58 +466,57 @@ def psi_cap_inv(p: Perm) -> Perm:
 
 def vartheta(t: PlaneTree) -> Perm:
     """Map a plane tree to a 231-avoider by splitting at the first leaf."""
-    return _vartheta(t)
+    out: list[int] = []
+    _vartheta(t, 0, out)
+    return tuple(out)
 
 
-def _vartheta(t: PlaneTree) -> Perm:
-    if t == ():
-        return ()
-    leaf_slots = [idx for idx, c in enumerate(t) if c == ()]
-    if leaf_slots:
-        w = leaf_slots[0]
-        t_low = tuple(t[:w])
-        t_high = tuple(t[w + 1:])
-    else:
-        # walk first children down to the first leaf; merge its neighborhood
-        spine = []
-        node = t
-        while node[0] != ():
-            spine.append(node)
-            node = node[0]
-        y = node
-        between = spine[1:]
-        t_low = tuple(t[1:]) + ((),) + tuple(y[1:])
-        t_high = tuple(tuple(u[1:]) for u in between)
-    low = _vartheta(t_low)
-    high = _vartheta(t_high)
-    k = plane_node_count(t_low)
-    return (k,) + low + tuple(v + k for v in high)
+def _vartheta(t: PlaneTree, base: int, out: list[int]) -> None:
+    # appends (k . low) directsum high, values shifted by base, where k is the node
+    # count of t_low, one more than the length of low
+    while t:
+        if () in t:
+            w = t.index(())
+            t_low = t[:w]
+            t_high = t[w + 1:]
+        else:
+            # walk first children down to the first leaf; merge its neighborhood
+            spine = []
+            node = t
+            while node[0]:
+                spine.append(node)
+                node = node[0]
+            t_low = t[1:] + ((),) + node[1:]
+            t_high = tuple(u[1:] for u in spine[1:])
+        at = len(out)
+        out.append(0)
+        _vartheta(t_low, base, out)
+        k = len(out) - at
+        out[at] = base + k
+        base += k
+        t = t_high
 
 
 def vartheta_inv(p: Perm) -> PlaneTree:
     """Invert the first-leaf splitting map."""
     _require_avoider(p, (2, 3, 1))
-    return _vartheta_inv(p)
+    return _vartheta_inv(p, 0, len(p), 0)
 
 
-def _vartheta_inv(p: Perm) -> PlaneTree:
-    if not p:
+def _vartheta_inv(p: Perm, lo: int, hi: int, base: int) -> PlaneTree:
+    # the block p[lo:hi] holds the values base+1..base+hi-lo; split at its first letter k
+    if lo == hi:
         return ()
-    k = p[0]
-    low = p[1:k]
-    high = tuple(v - k for v in p[k:])
-    t_low = _vartheta_inv(low)
-    t_high = _vartheta_inv(high)
-    leaf_slots = [idx for idx, c in enumerate(t_low) if c == ()]
-    if not leaf_slots:
-        return tuple(t_low) + ((),) + tuple(t_high)
-    w = leaf_slots[0]
-    head = t_low[:w]
-    tail = t_low[w + 1:]
-    node: PlaneTree = ((),) + tuple(tail)
+    k = p[lo] - base
+    t_low = _vartheta_inv(p, lo + 1, lo + k, base)
+    t_high = _vartheta_inv(p, lo + k, hi, base + k)
+    if () not in t_low:
+        return t_low + ((),) + t_high
+    w = t_low.index(())
+    node: PlaneTree = ((),) + t_low[w + 1:]
     for child in reversed(t_high):
-        node = (node,) + tuple(child)
-    return (node,) + tuple(head)
+        node = (node, *child)
+    return (node,) + t_low[:w]
 
 
 # ---------- Baxter permutations and walk triples ----------

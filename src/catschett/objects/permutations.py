@@ -217,79 +217,83 @@ def baxter_permutations(n: int) -> Iterator[Perm]:
     return (p for p in all_permutations(n) if is_baxter(p))
 
 
-# Each avoider generator walks prefixes value by value, pruning any candidate that
-# would complete the forbidden pattern; the pruning state is exact, so every leaf
-# at depth n is an avoider and the walk visits no dead subtrees beyond one level.
+# Each avoider generator makes the sizes below n from its family's decomposition,
+# keeping them as lists, and streams size n, so the largest size is never held.
 
 
 def _avoiders_231(n: int) -> Iterator[Perm]:
-    used = [False] * (n + 2)
-    prefix: list[int] = []
+    """231-avoiders of [n] by the first-letter split p = (k . p1) directsum p2.
 
-    def extend(floor: int) -> Iterator[Perm]:
-        # floor: any later value below it would close a 231 with an earlier ascent
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        below = 0
-        for v in range(1, n + 1):
-            if used[v]:
-                below = v
-                continue
-            if v < floor:
-                continue
-            used[v] = True
-            prefix.append(v)
-            yield from extend(below if below > floor else floor)
-            prefix.pop()
-            used[v] = False
+    p1 avoids 231 on [k-1] and p2 on [n-k]; ordering by k, then p1, then p2 is
+    lexicographic.
+    """
+    levels: list[list[Perm]] = [[()]]
+    for m in range(1, n):
+        levels.append(list(_first_letter_joins(levels, m)))
+    return _first_letter_joins(levels, n)
 
-    return extend(0)
+
+def _first_letter_joins(levels: list[list[Perm]], m: int) -> Iterator[Perm]:
+    if m == 0:
+        yield ()
+    for k in range(1, m + 1):
+        highs = [tuple([v + k for v in p2]) for p2 in levels[m - k]]
+        for p1 in levels[k - 1]:
+            for p2 in highs:
+                yield (k, *p1, *p2)
 
 
 def _avoiders_321(n: int) -> Iterator[Perm]:
-    used = [False] * (n + 2)
-    prefix: list[int] = []
+    """321-avoiders of [n], read by new maxima and smallest pending values.
 
-    def extend(floor: int, high: int) -> Iterator[Perm]:
-        # floor: largest value already placed below an earlier larger value
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in range(1, n + 1):
-            if used[v] or v < floor:
-                continue
-            used[v] = True
-            prefix.append(v)
-            if v < high:
-                yield from extend(v if v > floor else floor, high)
-            else:
-                yield from extend(floor, v)
-            prefix.pop()
-            used[v] = False
-
-    return extend(0, 0)
+    After a prefix with current maximum m, the j pending values below m must
+    follow in increasing order, so the next entry is the smallest pending value
+    or a new maximum; a new maximum m + i leaves i - 1 more values pending.  The
+    completions, standardised, depend only on (j, r) with r values above m, and
+    those with j + r = s are built from those with j + r = s - 1.  Size n reads
+    each state with j + r = n - 1 once, so those are streamed as well.
+    """
+    layer: dict[int, Iterable[Perm]] = {0: [()]}  # j -> completions with j + r = s
+    for s in range(1, n):
+        states = {j: _completions_321(layer, j, s - j) for j in range(s + 1)}
+        layer = states if s == n - 1 else {j: list(c) for j, c in states.items()}
+    return _completions_321(layer, 0, n)
 
 
-_WALKS = {(2, 3, 1): _avoiders_231, (3, 2, 1): _avoiders_321}
+def _completions_321(layer: dict[int, Iterable[Perm]], j: int, r: int) -> Iterator[Perm]:
+    if j == r == 0:
+        yield ()
+    # step[v] relabels value v of a completion of the next state around the value placed
+    if j:  # the smallest pending value, 1
+        step = range(1, j + r + 1)
+        for c in layer[j - 1]:
+            yield (1, *map(step.__getitem__, c))
+    for i in range(1, r + 1):  # the new maximum j + i
+        step = (*range(j + i), *range(j + i + 1, j + r + 1))
+        for c in layer[j + i - 1]:
+            yield (j + i, *map(step.__getitem__, c))
+
+
+_BOTTOM_UP = {(2, 3, 1): _avoiders_231, (3, 2, 1): _avoiders_321}
 
 
 def avoiders(n: int, pattern) -> Iterator[Perm]:
     """Generate all permutations of [n] avoiding a length-3 classical pattern, lexicographically.
 
-    231 and 321 are walked lazily; the other four classes are the images of those
-    walks under their symmetry, sorted, so they are built in full first.
+    231-avoiders are built by the first-letter split and 321-avoiders by new maxima
+    and smallest pending values; both stream size n.  The other four classes are
+    the images of those under their symmetry, sorted, so they are built in full.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     pat = tuple(pattern)
     base, transform = _SYMMETRIES.get(pat, (pat, None))
-    walk = _WALKS.get(base)
-    if walk is None:
+    build = _BOTTOM_UP.get(base)
+    if build is None:
         raise ValueError(f"unsupported classical pattern: {pat}")
     if transform is None:
-        return walk(n)
-    return iter(sorted(map(transform, walk(n))))
+        return build(n)
+    return iter(sorted(map(transform, build(n))))
 
 
 def first_letter_decompose(p: Perm) -> tuple[int, Perm, Perm]:

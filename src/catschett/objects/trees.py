@@ -12,15 +12,27 @@ PlaneTree = tuple
 
 
 def binary_trees(n: int) -> Iterator[BinaryTree]:
-    """Generate all binary trees with n nodes."""
+    """Generate all binary trees with n nodes by the Catalan recurrence.
+
+    A tree is a root over a left subtree of k nodes and a right one of n - 1 - k,
+    ordered by k, then left, then right.  The sizes below n are built bottom-up
+    and shared as subtrees; size n is streamed.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
+    levels: list[list[BinaryTree]] = [[None]]
+    for m in range(1, n):
+        levels.append(list(_rooted_pairs(levels, m)))
+    return _rooted_pairs(levels, n)
+
+
+def _rooted_pairs(levels: list[list[BinaryTree]], m: int) -> Iterator[BinaryTree]:
+    if m == 0:
         yield None
-        return
-    for k in range(n):
-        for left in binary_trees(k):
-            for right in binary_trees(n - 1 - k):
+    for k in range(m):
+        rights = levels[m - 1 - k]
+        for left in levels[k]:
+            for right in rights:
                 yield (left, right)
 
 
@@ -119,15 +131,27 @@ def increasing_tree_shape(word) -> BinaryTree:
 
 
 def plane_trees(n: int) -> Iterator[PlaneTree]:
-    """Generate all plane trees with n edges."""
+    """Generate all plane trees with n edges by the first-subtree recurrence.
+
+    A tree is its first subtree, of k - 1 edges, followed by the other children
+    of the root, a tree of n - k edges, ordered by k, then first, then rest.  The
+    sizes below n are built bottom-up and shared as subtrees; size n is streamed.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
+    levels: list[list[PlaneTree]] = [[()]]
+    for m in range(1, n):
+        levels.append(list(_first_subtree_joins(levels, m)))
+    return _first_subtree_joins(levels, n)
+
+
+def _first_subtree_joins(levels: list[list[PlaneTree]], m: int) -> Iterator[PlaneTree]:
+    if m == 0:
         yield ()
-        return
-    for k in range(1, n + 1):
-        for first in plane_trees(k - 1):
-            for rest in plane_trees(n - k):
+    for k in range(1, m + 1):
+        rests = levels[m - k]
+        for first in levels[k - 1]:
+            for rest in rests:
                 yield (first, *rest)
 
 

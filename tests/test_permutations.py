@@ -1,10 +1,28 @@
 """Permutation object layer: counting, avoidance, decompositions, serialization."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catschett.bijections import eta_inv, psi_kratt, upsilon
+from catschett.bijections import (
+    eta,
+    eta_inv,
+    fz_history,
+    fz_history_inv,
+    phi_classic,
+    psi_cap,
+    psi_cap_inv,
+    psi_fz,
+    psi_fz_inv,
+    psi_kratt,
+    psi_kratt_inv,
+    theta,
+    theta_inv,
+    upsilon,
+    vartheta_inv,
+)
 from catschett.objects.permutations import (
     VINCULAR_PATTERNS,
     all_permutations,
@@ -76,6 +94,25 @@ def test_avoiders_match_filter_oracle():
         for n in range(9):
             brute = [p for p in all_permutations(n) if avoids(p, pattern)]
             assert list(avoiders(n, pattern)) == brute, (n, pattern)
+
+
+# sha256 of the lines "<n> <permutation text>" for n <= 11, in generation order,
+# recorded before the avoider walks were replaced by bottom-up generation
+AVOIDER_DIGESTS = {
+    (1, 2, 3): "b92bdbc5d0025b080892c000b498d6c8874507b060ac09be8186331e103f579f",
+    (1, 3, 2): "8591e4b26fd0ba3241961fc419d6a6b0389d6f8dfd2d87bc137abe45b2512029",
+    (2, 1, 3): "b381b8228240e831bb7581610417b0fe3f54d0ec1dcf4c3817a0f282dd0d8148",
+    (2, 3, 1): "02eb0244f0dadfd31de333985eca75b8ffdd7382eb03aed09c1af4ef03742818",
+    (3, 1, 2): "d1535b3103b32d996469e2b08675c4b4720f8448993e7a0cc6748d83838ee588",
+    (3, 2, 1): "75aa4e9f18e52e6cb9fb81170dcab0d9fb56879fa4a4f98b92036606ec76d299",
+}
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_avoider_generation_order_is_pinned(pattern):
+    text = "\n".join(f"{n} {serialize_permutation(p)}" for n in range(12)
+                     for p in avoiders(n, pattern))
+    assert hashlib.sha256(text.encode()).hexdigest() == AVOIDER_DIGESTS[pattern]
 
 
 def test_avoidance_spot_values():
@@ -169,13 +206,33 @@ def test_vincular_avoidance_matches_position_scan_exhaustively(tag):
             assert avoids(p, tag) == (not _occurs_vincular(p, tag)), (p, tag)
 
 
+# one input outside each guarded map's domain, with the exact message it raised
+# before the maps became single scans
+GUARD_MESSAGES = (
+    (upsilon, (2, 3, 1), "not 231-avoiding: (2, 3, 1)"),
+    (phi_classic, (2, 3, 1), "not 231-avoiding: (2, 3, 1)"),
+    (theta, (1, 1), "not a permutation of [2]: (1, 1)"),
+    (theta_inv, ("EN", "NE"), "not a dominated walk pair: ('EN', 'NE')"),
+    (psi_kratt, (3, 2, 1), "not 321-avoiding: (3, 2, 1)"),
+    (psi_kratt_inv, "NE", "not a Dyck path: 'NE'"),
+    (eta, (2, 2, 1), "not a permutation of [3]: (2, 2, 1)"),
+    (eta, (3, 2, 1), "not 321-avoiding: (3, 2, 1)"),
+    (eta_inv, (3, 1, 2), "not 312-avoiding: (3, 1, 2)"),
+    (fz_history, (1, 3), "not a permutation of [2]: (1, 3)"),
+    (lambda h: fz_history_inv(*h), ("UD", (1, 0)), "not a valid weighted history: 'UD' (1, 0)"),
+    (psi_fz, (3, 1, 2), "not 312-avoiding: (3, 1, 2)"),
+    (psi_fz_inv, (2, 3, 1), "not 231-avoiding: (2, 3, 1)"),
+    (psi_cap, (3, 2, 1), "not 321-avoiding: (3, 2, 1)"),
+    (psi_cap_inv, (2, 3, 1), "not 231-avoiding: (2, 3, 1)"),
+    (vartheta_inv, (2, 3, 1), "not 231-avoiding: (2, 3, 1)"),
+)
+
+
 def test_map_guards_reject_pattern_occurrences():
-    with pytest.raises(ValueError, match="321"):
-        psi_kratt((3, 2, 1))
-    with pytest.raises(ValueError, match="312"):
-        eta_inv((3, 1, 2))
-    with pytest.raises(ValueError, match="231"):
-        upsilon((2, 3, 1))
+    for guarded, bad, message in GUARD_MESSAGES:
+        with pytest.raises(ValueError) as caught:
+            guarded(bad)
+        assert str(caught.value) == message, (guarded, bad)
 
 
 def test_baxter_spot_values():

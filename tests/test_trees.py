@@ -1,5 +1,7 @@
 """Tree object layer: generation counts, chain orders, arms, serialization."""
 
+import hashlib
+
 import pytest
 
 from catschett.objects.permutations import catalan
@@ -18,6 +20,23 @@ from catschett.objects.trees import (
     serialize_binary_tree,
     serialize_plane_tree,
 )
+
+
+# sha256 of the lines "<n> <tree text>" over the listed sizes, in generation order,
+# recorded before the trees were built bottom-up
+TREE_DIGESTS = {
+    "binary": (binary_trees, serialize_binary_tree, 11,
+               "f84ad5ff29eca58661df77bce238744af012a155c4742c0b32d57851b470e352"),
+    "plane": (plane_trees, serialize_plane_tree, 10,
+              "9a3b16ec7de840218dcb32e6a607fc1af51c67bf8f24ce12002c344c1a12250d"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(TREE_DIGESTS))
+def test_tree_generation_order_is_pinned(family):
+    generate, render, stop, expected = TREE_DIGESTS[family]
+    text = "\n".join(f"{n} {render(t)}" for n in range(stop) for t in generate(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
 def test_binary_tree_counts():

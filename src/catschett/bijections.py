@@ -29,9 +29,10 @@ from catschett.statistics import (
 )
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, template: str, *args) -> None:
+    # the message is formatted only when the guard fails
     if not condition:
-        raise ValueError(message)
+        raise ValueError(template.format(*args))
 
 
 def _require_avoider(p: Perm, pattern: tuple[int, ...]) -> None:
@@ -153,9 +154,9 @@ def _v_words(t: tuple, mu: list[str], nu: list[str]) -> None:
 def viennot_v_inv(pair: tuple[str, str]) -> BinaryTree:
     """Invert the walk-pair tree map."""
     mu, nu = pair
-    _require(is_walk_pair(mu, nu), f"not a dominated walk pair: {pair}")
+    _require(is_walk_pair(mu, nu), "not a dominated walk pair: {}", pair)
     tree = _v_parse(mu, nu)
-    _require(tree is not None, f"walk pair has no tree preimage: {pair}")
+    _require(tree is not None, "walk pair has no tree preimage: {}", pair)
     return tree
 
 
@@ -217,9 +218,9 @@ def tau(t: BinaryTree) -> str:
 
 def tau_inv(word: str) -> BinaryTree:
     """Invert the east-left-north-right reading."""
-    _require(is_dyck_path(word), f"not a Dyck path: {word!r}")
+    _require(is_dyck_path(word), "not a Dyck path: {!r}", word)
     tree, pos = _tau_parse(word, 0)
-    _require(pos == len(word), f"trailing steps at {pos}: {word!r}")
+    _require(pos == len(word), "trailing steps at {}: {!r}", pos, word)
     return tree
 
 
@@ -256,7 +257,7 @@ def psi_kratt(p: Perm) -> str:
 
 def psi_kratt_inv(word: str) -> Perm:
     """Invert the capped-heights map; run-final east steps carry the forced low values."""
-    _require(is_dyck_path(word), f"not a Dyck path: {word!r}")
+    _require(is_dyck_path(word), "not a Dyck path: {!r}", word)
     # the east steps after the h-th north step stand at height h; the last of each
     # such run takes the value h + 1 and the others take the unused values in order
     runs = word.split("N")
@@ -290,7 +291,7 @@ def lin_fu_phi(p: Perm) -> str:
 
 def lin_fu_phi_inv(word: str) -> Perm:
     """Invert the excedance-flag map by filling flagged slots increasingly."""
-    _require(is_motzkin2_path(word), f"not a two-flavored Motzkin path: {word!r}")
+    _require(is_motzkin2_path(word), "not a two-flavored Motzkin path: {!r}", word)
     n = len(word) + 1
     pos = [0] * (n + 1)
     val = [0] * (n + 1)
@@ -299,7 +300,7 @@ def lin_fu_phi_inv(word: str) -> Perm:
         val[i + 1] = 1 if ch in "TD" else 0
     exc_positions = [i for i in range(1, n + 1) if pos[i]]
     exc_values = [i for i in range(1, n + 1) if val[i]]
-    _require(len(exc_positions) == len(exc_values), f"unbalanced flags: {word!r}")
+    _require(len(exc_positions) == len(exc_values), "unbalanced flags: {!r}", word)
     p = [0] * n
     for i, v in zip(exc_positions, exc_values):
         p[i - 1] = v
@@ -308,7 +309,7 @@ def lin_fu_phi_inv(word: str) -> Perm:
     for i, v in zip(rest_positions, rest_values):
         p[i - 1] = v
     result = check_permutation(p)
-    _require(avoids(result, (3, 2, 1)), f"flags do not code a 321-avoider: {word!r}")
+    _require(avoids(result, (3, 2, 1)), "flags do not code a 321-avoider: {!r}", word)
     return result
 
 
@@ -317,7 +318,7 @@ _PAIR_FROM_LETTER = {"U": ("N", "E"), "D": ("E", "N"), "H": ("N", "N"), "T": ("E
 
 def varsigma(word: str) -> tuple[str, str]:
     """Rewrite a two-flavored Motzkin path as a dominated walk pair."""
-    _require(is_motzkin2_path(word), f"not a two-flavored Motzkin path: {word!r}")
+    _require(is_motzkin2_path(word), "not a two-flavored Motzkin path: {!r}", word)
     mu = "".join(_PAIR_FROM_LETTER[ch][0] for ch in word)
     nu = "".join(_PAIR_FROM_LETTER[ch][1] for ch in word)
     return mu, nu
@@ -329,7 +330,7 @@ _LETTER_FROM_PAIR = {v: k for k, v in _PAIR_FROM_LETTER.items()}
 def varsigma_inv(pair: tuple[str, str]) -> str:
     """Rewrite a dominated walk pair as a two-flavored Motzkin path."""
     mu, nu = pair
-    _require(is_walk_pair(mu, nu), f"not a dominated walk pair: {pair}")
+    _require(is_walk_pair(mu, nu), "not a dominated walk pair: {}", pair)
     return "".join(_LETTER_FROM_PAIR[(a, b)] for a, b in zip(mu, nu))
 
 
@@ -418,7 +419,7 @@ def fz_history_inv(word: str, weights) -> Perm:
     """Rebuild a permutation from its valley-peak history by slot insertion."""
     weights = tuple(weights)
     _require(is_laguerre_history(word, weights),
-             f"not a valid weighted history: {word!r} {weights}")
+             "not a valid weighted history: {!r} {}", word, weights)
     # the letters placed so far, cut at the open slots: slot w lies between
     # blocks[w] and blocks[w + 1], and value i fills slot weights[i - 1]
     blocks: list[list[int]] = [[], []]
@@ -432,7 +433,7 @@ def fz_history_inv(word: str, weights) -> Perm:
         else:  # i closes the slot
             blocks[w].append(i)
             blocks[w].extend(blocks.pop(w + 1))
-    _require(len(blocks) == 2, f"slot bookkeeping failed: {word!r}")
+    _require(len(blocks) == 2, "slot bookkeeping failed: {!r}", word)
     return check_permutation(blocks[0] + blocks[1])
 
 
@@ -440,7 +441,7 @@ def psi_fz(p: Perm) -> Perm:
     """Map a 312-avoider to the 231-avoider with the same valley-peak word."""
     _require_avoider(p, (3, 1, 2))
     word, weights = fz_history(p)
-    _require(all(w == 0 for w in weights), f"unexpected nesting weights: {p}")
+    _require(all(w == 0 for w in weights), "unexpected nesting weights: {}", p)
     return fz_history_inv(word, laguerre_weight_caps(word))
 
 
@@ -448,7 +449,7 @@ def psi_fz_inv(p: Perm) -> Perm:
     """Invert the valley-peak-word rewriting toward 312-avoiders."""
     _require_avoider(p, (2, 3, 1))
     word, weights = fz_history(p)
-    _require(weights == laguerre_weight_caps(word), f"unexpected nesting weights: {p}")
+    _require(weights == laguerre_weight_caps(word), "unexpected nesting weights: {}", p)
     return fz_history_inv(word, (0,) * len(word))
 
 
@@ -524,7 +525,7 @@ def _vartheta_inv(p: Perm, lo: int, hi: int, base: int) -> PlaneTree:
 def gamma(p: Perm) -> tuple[str, str, str]:
     """Map a Baxter permutation to the walk triple of its descent-derived sets."""
     check_permutation(p)
-    _require(is_baxter(p), f"not a Baxter permutation: {p}")
+    _require(is_baxter(p), "not a Baxter permutation: {}", p)
     n = len(p)
     q = inverse(p)
     top = walk_from_positions(modified_descent_tops(q), n - 1)
@@ -549,7 +550,7 @@ def gamma_inv(triple: tuple[str, str, str]) -> Perm:
     n = len(middle) + 1
     table = _gamma_by_triple(n)
     key = (top, middle, bottom)
-    _require(key in table, f"not in the walk-triple image: {triple}")
+    _require(key in table, "not in the walk-triple image: {}", triple)
     return table[key]
 
 
@@ -571,5 +572,5 @@ def gamma_theta(p: Perm) -> Perm:
     mu, nu = theta(p)
     table = _gamma_restricted(len(p))
     key = (mu, nu)
-    _require(key in table, f"walk pair escapes the restricted image: {p}")
+    _require(key in table, "walk pair escapes the restricted image: {}", p)
     return table[key]

@@ -9,7 +9,7 @@ from operator import itemgetter
 
 from catschett import config
 from catschett.bijections import gamma, gamma_theta, upsilon, vartheta
-from catschett.kernels import stat_table
+from catschett.kernels import marginal, stat_table
 from catschett.maps import transport_map
 from catschett.objects.paths import (
     hor_set,
@@ -103,21 +103,13 @@ def _fail(check: str, params: dict, detail: str,
     return CheckResult(check, params, False, detail, counterexample)
 
 
-def _marginal(kind: str, n: int, key) -> dict:
-    """Counts of ``stat_table(kind, n)`` summed over the rows with equal ``key(row)``."""
-    counts: dict = {}
-    for row, c in stat_table(kind, n).items():
-        k = key(row)
-        counts[k] = counts.get(k, 0) + c
-    return counts
-
-
 def _equidistributed(check: str, params: dict, what: str, left: tuple,
                      right: tuple) -> CheckResult | None:
     """The first size n <= params["n"] where two (kind, key) marginals differ, as a failure."""
     (lkind, lkey), (rkind, rkey) = left, right
     for n in range(params["n"] + 1):
-        lhs, rhs = _marginal(lkind, n, lkey), _marginal(rkind, n, rkey)
+        lhs = marginal(stat_table(lkind, n), lkey)
+        rhs = marginal(stat_table(rkind, n), rkey)
         if lhs != rhs:
             return _fail(check, params, f"{what} at n={n}",
                          f"n={n}: {sorted(lhs.items())} vs {sorted(rhs.items())}")
@@ -169,7 +161,7 @@ def _transport(check: str, params: dict, name: str, carries, *, start: int = 0,
 def _check_thm12i(params: dict) -> CheckResult:
     nmax = params["n"]
     for n in range(nmax + 1):
-        counts = _marginal("mndmna231", n, itemgetter(1, 0))
+        counts = marginal(stat_table("mndmna231", n), itemgetter(1, 0))
         for (a, d), c in sorted(counts.items()):
             if counts.get((d, a), 0) != c:
                 return _fail(
@@ -186,7 +178,7 @@ def _check_thm12ii(params: dict) -> CheckResult:
         return _fail("thm1.2ii", params, "closed form fails spot value n=3, k=1",
                      f"refined_catalan(3, 1) = {refined_catalan(3, 1)}, expected 4")
     for n in range(nmax + 1):
-        dist = _marginal("mndmna231", n, itemgetter(0))
+        dist = marginal(stat_table("mndmna231", n), itemgetter(0))
         for k in range(n // 2 + 1):
             if dist.get(k, 0) != refined_catalan(n, k):
                 return _fail(

@@ -56,8 +56,6 @@ _FAMILIES = {
     "laguerre": (laguerre_histories, serialize_laguerre_history),
 }
 
-_SERIES = ("G", "EE", "EO", "OE", "OO", "M", "LE", "LO", "E", "O", "A", "B")
-
 
 def _bounded_size(n: int) -> int:
     bound = config.enumeration_bound()
@@ -139,22 +137,6 @@ def cmd_schett(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compute_series(name: str, order: int):
-    if name == "G":
-        return families.compute_G(order)
-    if name in ("EE", "EO", "OE", "OO"):
-        block = families.compute_EE_EO_OE_OO(order)
-        return block[("EE", "EO", "OE", "OO").index(name)]
-    if name == "M":
-        return families.compute_M(order)
-    if name in ("LE", "LO", "E", "O"):
-        block = families.compute_LE_LO_E_O(order)
-        return block[("LE", "LO", "E", "O").index(name)]
-    if name == "A":
-        return families.compute_A(order)
-    return families.compute_B(order)
-
-
 def _emit_mna_table(nmax: int, fmt: str) -> None:
     rows = families.mna_distribution(nmax)
     kmax = max((k for row in rows.values() for k in row), default=0)
@@ -183,7 +165,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         raise ValueError("choose a series name or --table mna")
     if args.order < 0:
         raise ValueError(f"order must be nonnegative, got {args.order}")
-    series = _compute_series(args.name, args.order)
+    series = families.series(args.name, args.order)
     if args.format == "json":
         body = {"series": args.name, "order": series.order,
                 "coefficients": {f"t^{k}": [list(t) for t in series.coefficient(k).sorted_terms()]
@@ -275,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_schett.set_defaults(func=cmd_schett)
 
     p_series = sub.add_parser("series", help="print a truncated generating series or table")
-    p_series.add_argument("name", nargs="?", choices=_SERIES)
+    p_series.add_argument("name", nargs="?", choices=families.SERIES)
     p_series.add_argument("--order", type=int, default=8)
     p_series.add_argument("--table", choices=("mna",),
                           help="print a distribution table instead of a series")

@@ -8,10 +8,24 @@ a brute-force enumeration of the same objects.
 
 from collections import Counter
 from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
 
 
-def _count321(n: int, start: tuple, step) -> Counter:
+def marginal(rows, key) -> dict:
+    """Counts of ``rows`` (key tuple -> count) summed over the rows with equal ``key(row)``.
+
+    Rows whose key is None are dropped.
+    """
+    out: dict = {}
+    for row, c in rows.items():
+        k = key(row)
+        if k is not None:
+            out[k] = out.get(k, 0) + c
+    return out
+
+
+def _count321(n: int, start: tuple, step) -> dict:
     """Count 321-avoiders of [n] by a statistic state carried along the prefix.
 
     Each entry of a 321-avoider is either a new maximum or the smallest unused value,
@@ -31,10 +45,7 @@ def _count321(n: int, start: tuple, step) -> Counter:
             if m > pos:
                 nxt[m, False, step(s, pos, m if after_max else 0)] += c
         states = nxt
-    out: Counter = Counter()
-    for (_m, _after_max, s), c in states.items():
-        out[s] += c
-    return out
+    return marginal(states, itemgetter(2))
 
 
 # A composition is read part by part with the state (parity of the open part, parity of
@@ -54,12 +65,10 @@ def _cut(s: tuple) -> tuple:
     return 1, r if first < 0 else first, odd + r, even + 1 - r
 
 
-def _close_parts(counts: Counter) -> dict:
+def _close(s: tuple) -> tuple:
     """Close the last part: (odd parts, even parts, first part parity, last part parity)."""
-    out: Counter = Counter()
-    for (r, first, odd, even), c in counts.items():
-        out[odd + r, even + 1 - r, r if first < 0 else first, r] += c
-    return dict(out)
+    r, first, odd, even = s
+    return odd + r, even + 1 - r, r if first < 0 else first, r
 
 
 def _run_step(s: tuple, pos: int, top: int) -> tuple:
@@ -68,7 +77,7 @@ def _run_step(s: tuple, pos: int, top: int) -> tuple:
 
 
 def _runs321(n: int) -> dict:
-    return _close_parts(_count321(n, _NO_PARTS, _run_step)) if n else {}
+    return marginal(_count321(n, _NO_PARTS, _run_step), _close) if n else {}
 
 
 def _peak_step(s: tuple, pos: int, top: int) -> tuple:
@@ -82,7 +91,7 @@ def _peak_step(s: tuple, pos: int, top: int) -> tuple:
 
 
 def _lpk321(n: int) -> dict:
-    return dict(_count321(n, (0, 0, 0, 0), _peak_step))
+    return _count321(n, (0, 0, 0, 0), _peak_step)
 
 
 def _compdyck(n: int) -> dict:
@@ -103,7 +112,7 @@ def _compdyck(n: int) -> dict:
             if h:
                 nxt[h - 1, 0, _cut(_grow(s)) if run == 2 else s] += c
         states = nxt
-    return _close_parts(Counter({s: c for (_h, _run, s), c in states.items()}))
+    return marginal(states, lambda state: _close(state[2]))
 
 
 def _lpkpk231(n: int) -> dict:
@@ -119,9 +128,7 @@ def _lpkpk231(n: int) -> dict:
         table: Counter = Counter()
         odd = size & 1
         for a in range(size):
-            beta: Counter = Counter()
-            for (_le, _lo, pe, po), c in tables[size - 1 - a].items():
-                beta[(po, pe) if a & 1 else (pe, po)] += c
+            beta = marginal(tables[size - 1 - a], itemgetter(3, 2) if a & 1 else itemgetter(2, 3))
             top = a < size - 1
             inner = top and a > 0
             for (le, lo, pe, po), c in tables[a].items():
@@ -130,6 +137,23 @@ def _lpkpk231(n: int) -> dict:
                           pe + qe + inner * (1 - odd), po + qo + inner * odd] += c * d
         tables.append(table)
     return dict(tables[n])
+
+
+# The two sides of the split in ``_mndmna231``, each reduced to what it passes on.
+def _alpha_side(s: tuple) -> tuple:
+    d, u, w, fd, la, fi, li = s
+    return d, u + la, w, fd, li, fi
+
+
+def _beta_side(s: tuple) -> tuple:
+    d, u, w, fd, la, fi, li = s
+    return d + fd, u, w, 0, la, li if fi == 2 else fi
+
+
+def _beta_first(s: tuple) -> tuple:
+    # beta's first descending run begins p when alpha is empty
+    d, u, w, fd, la, fi, li = s
+    return d + fd, u, w, fd ^ 1, la, li if fi == 2 else fi
 
 
 def _mndmna231(n: int) -> dict:
@@ -152,21 +176,14 @@ def _mndmna231(n: int) -> dict:
             table[d, u + la, w + li, fd if size > 1 else 1, la ^ 1, fi, li ^ 1] += c
         for a in range(size - 1):
             # keep only what each side passes on, so fewer pairs are multiplied
-            alpha: Counter = Counter()
-            for (d, u, w, fd, la, fi, li), c in tables[a].items():
-                alpha[d, u + la, w, fd, li, fi] += c
-            beta: Counter = Counter()
-            for (d, u, w, fd, la, fi, li), c in tables[size - 1 - a].items():
-                beta[d + fd, u, w, 0 if a else fd ^ 1, la, li if fi == 2 else fi] += c
+            alpha = marginal(tables[a], _alpha_side)
+            beta = marginal(tables[size - 1 - a], _beta_side if a else _beta_first)
             for (d, u, w, fd, li, fi), c in alpha.items():
                 for (qd, qu, qw, qfd, qla, qfi), e in beta.items():
                     table[d + qd, u + qu, w + qw + (li & qfi), fd | qfd,
                           qla, li ^ qfi if fi == 2 else fi, 1] += c * e
         tables.append(table)
-    out: Counter = Counter()
-    for (d, u, w, *_parities), c in tables[n].items():
-        out[d, u, w] += c
-    return dict(out)
+    return marginal(tables[n], itemgetter(0, 1, 2))
 
 
 def _mnemnw321(n: int) -> dict:
@@ -194,10 +211,7 @@ def _mnemnw321(n: int) -> dict:
                 y = v == i and not t
                 nxt[v, e + x, x, w + (k + 1 - tv) // 2 + y, y] += c
         states = nxt
-    out: Counter = Counter()
-    for (_m, e, _tp, w, _tv), c in states.items():
-        out[e, w] += c
-    return dict(out)
+    return marginal(states, itemgetter(1, 3))
 
 
 _COUNTED = {

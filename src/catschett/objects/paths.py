@@ -64,18 +64,6 @@ def is_zigzag(word: str) -> bool:
     return all(k == 1 for k in platform_multiset(word))
 
 
-def east_heights(word: str) -> tuple[int, ...]:
-    """North steps preceding each east step, in east order."""
-    heights: list[int] = []
-    nn = 0
-    for ch in word:
-        if ch == "N":
-            nn += 1
-        else:
-            heights.append(nn)
-    return tuple(heights)
-
-
 def dyck_composition(word: str) -> tuple[int, ...]:
     """East counts of the segments cut just before the last step of each long east run."""
     parts: list[int] = []

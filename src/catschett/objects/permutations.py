@@ -295,35 +295,3 @@ def avoiders(n: int, pattern) -> Iterator[Perm]:
         return build(n)
     return iter(sorted(map(transform, build(n))))
 
-
-def first_letter_decompose(p: Perm) -> tuple[int, Perm, Perm]:
-    """Split a 231-avoider as p = (k . p1) directsum p2 around its first letter k."""
-    if not p:
-        raise ValueError("cannot decompose the empty permutation")
-    k = p[0]
-    p1 = p[1:k]
-    p2 = tuple(v - k for v in p[k:])
-    if sorted(p1) != list(range(1, k)) or sorted(p2) != list(range(1, len(p) - k + 1)):
-        raise ValueError(f"not 231-avoiding at the first letter: {p}")
-    return k, p1, p2
-
-
-def first_letter_compose(k: int, p1: Perm, p2: Perm) -> Perm:
-    """Rebuild (k . p1) directsum p2 from the first-letter split."""
-    if k != len(p1) + 1:
-        raise ValueError("first letter must exceed the low block by one")
-    return (k,) + tuple(p1) + tuple(v + k for v in p2)
-
-
-def greatest_letter_decompose(p: Perm) -> tuple[Perm, int, Perm]:
-    """Split a 231-avoider as (alpha, n, beta) around its greatest letter, blocks standardized."""
-    if not p:
-        raise ValueError("cannot decompose the empty permutation")
-    n = len(p)
-    m = p.index(n)
-    alpha = p[:m]
-    a = len(alpha)
-    if sorted(alpha) != list(range(1, a + 1)):
-        raise ValueError(f"not 231-avoiding at the greatest letter: {p}")
-    beta = tuple(v - a for v in p[m + 1:])
-    return alpha, n, beta

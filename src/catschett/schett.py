@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from catschett.kernels import stat_table
+from catschett.kernels import marginal, stat_table
 from catschett.objects.permutations import all_permutations
 from catschett.objects.trees import (
     binary_trees,
@@ -37,11 +37,8 @@ def catalan_schett_perm231(n: int) -> LaurentPoly2:
     odr = n - 2 mnd, and likewise oar = n - 2 mna; the terms are read off the
     counted (mnd, mna, mna of the inverse) table.
     """
-    terms: dict[tuple[int, int], int] = {}
-    for (d, _u, w), c in stat_table("mndmna231", n).items():
-        key = (n - 2 * d, n - 2 * w)
-        terms[key] = terms.get(key, 0) + c
-    return LaurentPoly2(terms)
+    table = stat_table("mndmna231", n)
+    return LaurentPoly2(marginal(table, lambda k: (n - 2 * k[0], n - 2 * k[2])))
 
 
 def catalan_schett_perm321(n: int) -> LaurentPoly2:

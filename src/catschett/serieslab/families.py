@@ -1,91 +1,66 @@
-"""Generating series of parity statistics, assembled from exhaustive tables."""
+"""Generating series of parity statistics, each a marginal of one counted table."""
+
+from operator import itemgetter
 
 from catschett import config
-from catschett.kernels import stat_table
+from catschett.kernels import marginal, stat_table
 from catschett.serieslab.laurent import LaurentPoly2
 from catschett.serieslab.series import TruncatedSeries
 
 
-def _check_order(order: int) -> None:
+def _block(first: int, last: int):
+    """Key: (odd parts, even parts) when the first and last parts have these parities."""
+    return lambda k: (k[0], k[1]) if k[2] == first and k[3] == last else None
+
+
+_XY = itemgetter(0, 1)
+
+# name -> (table kind, sizes read, key: table row -> (x exponent, y exponent), or None
+# for a row the series leaves out), in the order the command line lists them
+SERIES = {
+    # x marks odd ascending runs and y even ones, over 321-avoiders
+    "G": ("runs321", "all", _XY),
+    # the same over Dyck segments, split by (first, last part) parity
+    "EE": ("compdyck", "all", _block(0, 0)),
+    "EO": ("compdyck", "all", _block(0, 1)),
+    "OE": ("compdyck", "all", _block(1, 0)),
+    "OO": ("compdyck", "all", _block(1, 1)),
+    # x marks even left peaks and y odd ones, over 231-avoiders
+    "M": ("lpkpk231", "all", _XY),
+    # left peaks (LE, LO) and interior peaks (E, O) by parity, at even and odd sizes
+    "LE": ("lpkpk231", "even", _XY),
+    "LO": ("lpkpk231", "odd", _XY),
+    "E": ("lpkpk231", "even", itemgetter(2, 3)),
+    "O": ("lpkpk231", "odd", itemgetter(2, 3)),
+    # G at y = 1 and at y = x
+    "A": ("runs321", "all", lambda k: (k[0], 0)),
+    "B": ("runs321", "all", lambda k: (k[0] + k[1], 0)),
+}
+
+# sizes read -> (first size, step)
+_SIZES = {"all": (1, 1), "odd": (1, 2), "even": (2, 2)}
+
+
+def series(name: str, order: int) -> TruncatedSeries:
+    """The named series truncated at t^order: [t^n] is the marginal of the size-n table."""
+    if name not in SERIES:
+        raise ValueError(f"unknown series: {name!r}")
     bound = config.enumeration_bound()
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order > bound:
         raise ValueError(f"order {order} exceeds the configured enumeration bound {bound}")
-
-
-def _assemble(order: int, kind: str, select, sizes=None) -> TruncatedSeries:
-    coeffs = [LaurentPoly2.zero() for _ in range(order + 1)]
-    for n in range(1, order + 1) if sizes is None else sizes:
-        terms: dict[tuple[int, int], int] = {}
-        for key, cnt in stat_table(kind, n).items():
-            mono = select(key)
-            if mono is not None:
-                terms[mono] = terms.get(mono, 0) + cnt
-        coeffs[n] = LaurentPoly2(terms)
+    kind, sizes, key = SERIES[name]
+    first, step = _SIZES[sizes]
+    coeffs = [LaurentPoly2.zero()] * (order + 1)
+    for n in range(first, order + 1, step):
+        coeffs[n] = LaurentPoly2(marginal(stat_table(kind, n), key))
     return TruncatedSeries(order, coeffs)
-
-
-def compute_G(order: int, source: str = "perm") -> TruncatedSeries:
-    """x marks odd ascending runs and y even ones, over 321-avoiders ("perm") or Dyck segments ("dyck")."""
-    _check_order(order)
-    if source not in ("perm", "dyck"):
-        raise ValueError(f"unknown source: {source}")
-    kind = "runs321" if source == "perm" else "compdyck"
-    return _assemble(order, kind, lambda k: (k[0], k[1]))
-
-
-def compute_EE_EO_OE_OO(order: int) -> tuple[TruncatedSeries, ...]:
-    """The run series over Dyck segments split by (initial, terminal part) parity: EE, EO, OE, OO."""
-    _check_order(order)
-    out = []
-    for first, last in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        out.append(
-            _assemble(
-                order,
-                "compdyck",
-                lambda k, f=first, l=last: (k[0], k[1]) if k[2] == f and k[3] == l else None,
-            )
-        )
-    return tuple(out)
-
-
-def compute_M(order: int) -> TruncatedSeries:
-    """x marks even left peaks and y odd ones, over 231-avoiders."""
-    _check_order(order)
-    return _assemble(order, "lpkpk231", lambda k: (k[0], k[1]))
-
-
-def compute_LE_LO_E_O(order: int) -> tuple[TruncatedSeries, ...]:
-    """Left-peak and interior-peak parity series over 231-avoiders, split by even/odd length."""
-    _check_order(order)
-    even = range(2, order + 1, 2)
-    odd = range(1, order + 1, 2)
-    le = _assemble(order, "lpkpk231", lambda k: (k[0], k[1]), sizes=even)
-    lo = _assemble(order, "lpkpk231", lambda k: (k[0], k[1]), sizes=odd)
-    e = _assemble(order, "lpkpk231", lambda k: (k[2], k[3]), sizes=even)
-    o = _assemble(order, "lpkpk231", lambda k: (k[2], k[3]), sizes=odd)
-    return le, lo, e, o
-
-
-def compute_A(order: int) -> TruncatedSeries:
-    """The y=1 specialization: x marks odd ascending runs over 321-avoiders."""
-    return compute_G(order).subs_y_one()
-
-
-def compute_B(order: int) -> TruncatedSeries:
-    """The y=x specialization: x marks all ascending runs over 321-avoiders."""
-    return compute_G(order).subs_y_x()
 
 
 def mna_distribution(nmax: int) -> dict[int, dict[int, int]]:
     """Counts of 321-avoiders of size n by maximum non-overlapping ascents, via mna = (n - oar)/2."""
-    _check_order(nmax)
-    a = compute_A(nmax)
-    rows: dict[int, dict[int, int]] = {}
-    for n in range(1, nmax + 1):
-        row: dict[int, int] = {}
-        for xe, _, cnt in a.coefficient(n).sorted_terms():
-            row[(n - xe) // 2] = row.get((n - xe) // 2, 0) + cnt
-        rows[n] = dict(sorted(row.items()))
-    return rows
+    a = series("A", nmax)
+    rows = {n: marginal(a.coefficient(n).terms, lambda k: (n - k[0]) // 2)
+            for n in range(1, nmax + 1)}
+    return {n: dict(sorted(row.items())) for n, row in rows.items()}

@@ -64,19 +64,23 @@ def first_failure(lhs: TruncatedSeries, rhs: TruncatedSeries) -> dict | None:
     }
 
 
+def _series(order: int, *names: str) -> list[TruncatedSeries]:
+    return [families.series(name, order) for name in names]
+
+
 def _functional_readings(name: str, order: int) -> Readings:
     geo = geometric_t2(order)
     one = TruncatedSeries.one(order)
     if name == "lem3.1":
-        _, eo, oe, _ = families.compute_EE_EO_OE_OO(order)
+        eo, oe = _series(order, "EO", "OE")
         return [("literal", [("EO=OE", eo, oe)])]
     if name == "eq:G":
-        ee, eo, oe, oo = families.compute_EE_EO_OE_OO(order)
-        g_perm = families.compute_G(order, source="perm")
-        g_dyck = families.compute_G(order, source="dyck")
-        return [("literal", [("G=EE+2EO+OO", g_perm, ee + eo + eo + oo), ("G routes", g_perm, g_dyck)])]
+        # the four blocks split the Dyck-segment table, so their sum is G read over Dyck paths
+        g, ee, eo, oe, oo = _series(order, "G", "EE", "EO", "OE", "OO")
+        return [("literal", [("G=EE+2EO+OO", g, ee + eo + eo + oo),
+                             ("G routes", g, ee + eo + oe + oo)])]
     if name == "eq:ee":
-        ee, eo, oe, oo = families.compute_EE_EO_OE_OO(order)
+        ee, eo, oe, oo = _series(order, "EE", "EO", "OE", "OO")
         t11 = geo.mul_monomial(2, 0, 1)
         t12 = oe.mul_monomial(1, -1, 1)
         inner21 = oe - (ee - geo.mul_monomial(2, 0, 1)).mul_monomial(1, 1, -1)
@@ -92,7 +96,7 @@ def _functional_readings(name: str, order: int) -> Readings:
         t22 = (inner22 * fac22).mul_monomial(1, -1, 1)
         return [("literal", [("EE", ee, t11 + t12 + t21 + t22)])]
     if name == "eq:eo":
-        ee, eo, oe, oo = families.compute_EE_EO_OE_OO(order)
+        ee, eo, oe, oo = _series(order, "EE", "EO", "OE", "OO")
         t1 = (oo - geo.mul_monomial(1, 1, 0)).mul_monomial(1, -1, 1)
         inner21 = oe - (ee - geo.mul_monomial(2, 0, 1)).mul_monomial(1, 1, -1)
         inner22 = oo - eo.mul_monomial(1, 1, -1) - geo.mul_monomial(1, 1, 0)
@@ -104,7 +108,7 @@ def _functional_readings(name: str, order: int) -> Readings:
             readings.append((label, [("EO", eo, t1 + t21 + t22)]))
         return readings
     if name == "eq:o":
-        ee, eo, oe, oo = families.compute_EE_EO_OE_OO(order)
+        ee, eo, oe, oo = _series(order, "EE", "EO", "OE", "OO")
         f = eo.mul_monomial(0, 0, -1) + geo + oo.mul_monomial(0, -2, 1) - geo.mul_monomial(1, -1, 1)
         o1 = geo.mul_monomial(1, 1, 0)
         o2 = eo.mul_monomial(1, 1, -1)
@@ -118,8 +122,7 @@ def _functional_readings(name: str, order: int) -> Readings:
         o10 = ((eo - (oo - geo.mul_monomial(1, 1, 0)).mul_monomial(1, -1, 1)) * f).mul_monomial(1, 1, -1)
         return [("literal", [("OO", oo, o1 + o2 + o3 + o4 + o5 + o6 + o7 + o8 + o9 + o10)])]
     if name == "eq:LE":
-        m = families.compute_M(order)
-        le, lo, e, o = families.compute_LE_LO_E_O(order)
+        m, le, lo, e, o = _series(order, "M", "LE", "LO", "E", "O")
         le_s, lo_s, e_s, o_s = le.swap_xy(), lo.swap_xy(), e.swap_xy(), o.swap_xy()
         equations = [
             ("M=LE+LO", m, le + lo),
@@ -174,18 +177,18 @@ def _algebraic_readings(name: str, order: int) -> Readings:
         return coefficient_series(coeffs, key, order)
 
     if name == "alg:gf1":
-        g = families.compute_G(order)
+        g = families.series("G", order)
         readings = []
         for label, a2key in (("literal", "alg_gf1_a2"), ("alpha2 minus 8t^2xy", "alg_gf1_a2_minus_8t2xy")):
             coeff_list = [cs("alg_gf1_a0"), cs("alg_gf1_a1"), cs(a2key), cs("alg_gf1_a3"), cs("alg_gf1_a4")]
             readings.append((label, [("residual", _polynomial_residual(g, coeff_list), zero)]))
         return readings
     if name == "thm1.6i":
-        a = families.compute_A(order)
+        a = families.series("A", order)
         coeff_list = [cs("quartic_r0"), cs("quartic_r1"), cs("quartic_r2"), -cs("quartic_r3"), cs("quartic_c4")]
         return [("literal", [("residual", _polynomial_residual(a, coeff_list), zero)])]
     if name == "alg:gf2":
-        m = families.compute_M(order)
+        m = families.series("M", order)
         readings = []
         for label, b1key in (
             ("beta1 t^11 (literal)", "alg_gf2_b1_literal"),
@@ -196,7 +199,7 @@ def _algebraic_readings(name: str, order: int) -> Readings:
             readings.append((label, [("residual", _polynomial_residual(m, coeff_list), zero)]))
         return readings
     if name == "bbs":
-        b = families.compute_B(order)
+        b = families.series("B", order)
         readings = []
         for label, linkey in (("2t^2x", "bbs_lin_t2x"), ("2tx", "bbs_lin_tx")):
             res = _polynomial_residual(b, [cs("bbs_q0"), cs(linkey), cs("bbs_q2")])

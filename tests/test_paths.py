@@ -11,7 +11,6 @@ from catschett.objects.paths import (
     ascending_step_runs,
     dyck_composition,
     dyck_paths,
-    east_heights,
     is_dyck_path,
     is_motzkin2_path,
     is_walk_pair,
@@ -72,9 +71,7 @@ def test_zigzag():
     assert not is_zigzag("EENN")
 
 
-def test_east_heights_and_runs():
-    assert east_heights("EENN") == (0, 0)
-    assert east_heights("ENEEN") == (0, 1, 1)
+def test_ascending_step_runs():
     assert ascending_step_runs("EENN") == (2,)
     assert ascending_step_runs("ENEEN") == (1, 2)
 

@@ -1,4 +1,4 @@
-"""Permutation object layer: counting, avoidance, decompositions, serialization."""
+"""Permutation object layer: counting, avoidance, serialization."""
 
 import hashlib
 
@@ -33,9 +33,6 @@ from catschett.objects.permutations import (
     check_permutation,
     complement,
     contains,
-    first_letter_compose,
-    first_letter_decompose,
-    greatest_letter_decompose,
     identity,
     inverse,
     is_baxter,
@@ -282,24 +279,6 @@ def test_reverse_and_complement():
 def test_standardize():
     assert standardize((4, 9, 2)) == (2, 3, 1)
     assert standardize(()) == ()
-
-
-def test_first_letter_decomposition():
-    assert first_letter_decompose((3, 1, 2, 5, 4, 7, 6)) == (3, (1, 2), (2, 1, 4, 3))
-    assert first_letter_decompose((1,)) == (1, (), ())
-    assert first_letter_decompose((3, 1, 2)) == (3, (1, 2), ())
-
-
-def test_first_letter_round_trip():
-    for n in range(1, 8):
-        for p in avoiders(n, (2, 3, 1)):
-            assert first_letter_compose(*first_letter_decompose(p)) == p
-
-
-def test_greatest_letter_decomposition():
-    assert greatest_letter_decompose((1, 3, 2)) == ((1,), 3, (1,))
-    assert greatest_letter_decompose((3, 1, 2)) == ((), 3, (1, 2))
-    assert greatest_letter_decompose((1, 2, 3)) == ((1, 2), 3, ())
 
 
 def test_serialization_round_trip():

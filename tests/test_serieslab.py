@@ -1,15 +1,18 @@
 """Series laboratory: exact ring operations, frozen coefficients, residual systems."""
 
+import hashlib
 import pathlib
 import subprocess
 import sys
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catschett.kernels import stat_table
+from catschett import cli
+from catschett.kernels import marginal, stat_table
 from catschett.objects.permutations import catalan
 from catschett.serieslab import families, residuals
 from catschett.serieslab.laurent import LaurentPoly2
@@ -66,41 +69,37 @@ def test_series_geometric_inverse():
 
 
 def test_series_swap_involution():
-    g = families.compute_G(6)
+    g = families.series("G", 6)
     assert g.swap_xy().swap_xy() == g
 
 
 def test_frozen_series_coefficients():
-    g = families.compute_G(4)
+    g = families.series("G", 4)
     assert g.coefficient(1) == mono(1, 0)
     assert g.coefficient(2) == mono(2, 0) + mono(0, 1)
     assert g.coefficient(3) == mono(1, 0) + mono(1, 1, 4)
-    m = families.compute_M(3)
+    m = families.series("M", 3)
     assert m.coefficient(3) == LaurentPoly2.one() + mono(1, 0) + mono(0, 1, 3)
 
 
 def test_series_specializes_to_catalan():
-    g = families.compute_G(9)
+    g = families.series("G", 9)
     for k in range(1, 10):
         assert g.coefficient(k).eval_ones() == catalan(k)
 
 
-def _lpk_marginal(kind, n):
-    counts = Counter()
-    for key, c in stat_table(kind, n).items():
-        counts[key[:2]] += c
-    return counts
-
-
 def test_route_equality_for_main_series():
-    assert families.compute_G(9, source="perm") == families.compute_G(9, source="dyck")
+    # G over 321-avoiders against the four Dyck-segment blocks, which split compdyck
+    ee, eo, oe, oo = (families.series(name, 9) for name in ("EE", "EO", "OE", "OO"))
+    assert families.series("G", 9) == ee + eo + oe + oo
+    lpk = itemgetter(0, 1)
     for n in range(10):
-        assert _lpk_marginal("lpkpk231", n) == _lpk_marginal("lpk321", n), n
+        assert marginal(stat_table("lpkpk231", n), lpk) == marginal(stat_table("lpk321", n), lpk), n
 
 
 def test_parity_block_decomposition():
     order = 9
-    ee, eo, oe, oo = families.compute_EE_EO_OE_OO(order)
+    ee, eo, oe, oo = (families.series(name, order) for name in ("EE", "EO", "OE", "OO"))
     total = ee + eo + oe + oo
     for k in range(1, order + 1):
         assert total.coefficient(k).eval_ones() == catalan(k)
@@ -109,7 +108,53 @@ def test_parity_block_decomposition():
 
 def test_order_bound_enforced():
     with pytest.raises(ValueError, match="enumeration bound"):
-        families.compute_G(99)
+        families.series("G", 99)
+    with pytest.raises(ValueError, match="unknown series"):
+        families.series("Z", 4)
+
+
+def test_marginal_drops_none_keys():
+    rows = {(0, 1): 2, (1, 1): 3, (2, 0): 5, (3, 0): 7}
+    assert marginal(rows, lambda k: k[1] or None) == {1: 5}
+    assert marginal(rows, lambda k: k[0] % 2) == {0: 7, 1: 10}
+    assert marginal({}, lambda k: k) == {}
+
+
+# sha256 of the lines "<k> <sorted_terms of [t^k]>" for k = 0..12, recorded when each
+# series had its own builder
+SERIES_DIGESTS = {
+    "G": "184b1ac257b9d16cf4ac36362889b470015a5edb93fbd65b0139d0343e73a23e",
+    "EE": "5fcadccdd24ec21ab64c1d3c8cc62ac6f3f163ed75ca51d465997842af58f2d0",
+    "EO": "05486f13b980a99e75b23d627eaf4d140b7b068812ccd6e69ab3528b08a12159",
+    "OE": "05486f13b980a99e75b23d627eaf4d140b7b068812ccd6e69ab3528b08a12159",
+    "OO": "ac70ae7d73b107bf624752a1ceb4d8e871af1a50a09b92488e3c371738fe6e2a",
+    "M": "819d3419f5e6c21dcb6373239a9092f9c4666aba0ed13458ea79e198ac826280",
+    "LE": "3f5310adb3909b10152f7289de5d5d8bf3ce9a8de6d53d3a9327a67f3a84604c",
+    "LO": "cd14064ce2fbf9b783d16875d901d0bfe560e38d34847b7a3e026eae4c99bff8",
+    "E": "0a0c1fea875134de01d90ac285775b9c65d95f386a1a947eddb20c85f12481b6",
+    "O": "88fccfedbc03ec925156f2d053e49f3f1dfff0281f2f79a8002802bbfa08f3ff",
+    "A": "c239d7dee6f35ea18efe6ffba9b0e930f763f1dad9dbf138a64de593afe30d2c",
+    "B": "e0cc7706e5e5b55726056d4ed3330a76f67acf6921519f22bf66010d3baef5da",
+}
+
+# sha256 of repr(mna_distribution(12)), recorded at the same point
+MNA_DIGEST = "e49dac0cb378fce4b95e92d1137a000a804e50efea0a4e5248940b793c3e419c"
+
+
+def test_series_coefficients_are_pinned():
+    assert tuple(SERIES_DIGESTS) == tuple(families.SERIES)
+    for name, expected in SERIES_DIGESTS.items():
+        s = families.series(name, 12)
+        text = "\n".join(f"{k} {s.coefficient(k).sorted_terms()}" for k in range(13))
+        assert hashlib.sha256(text.encode()).hexdigest() == expected, name
+    mna = repr(families.mna_distribution(12))
+    assert hashlib.sha256(mna.encode()).hexdigest() == MNA_DIGEST
+
+
+def test_cli_series_names_follow_the_registry():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    name = next(a for a in sub.choices["series"]._actions if a.dest == "name")
+    assert tuple(name.choices) == tuple(families.SERIES) == tuple(SERIES_DIGESTS)
 
 
 def test_appendix_coefficients_checksum():

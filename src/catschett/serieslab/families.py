@@ -53,7 +53,8 @@ def series(name: str, order: int) -> TruncatedSeries:
     kind, sizes, key = SERIES[name]
     first, step = _SIZES[sizes]
     coeffs = [LaurentPoly2.zero()] * (order + 1)
-    for n in range(first, order + 1, step):
+    # largest size first: its counting pass caches every smaller size
+    for n in reversed(range(first, order + 1, step)):
         coeffs[n] = LaurentPoly2(marginal(stat_table(kind, n), key))
     return TruncatedSeries(order, coeffs)
 

@@ -159,12 +159,18 @@ def _functional_readings(name: str, order: int) -> Readings:
     raise ValueError(f"unknown functional system: {name}")
 
 
-def _polynomial_residual(series: TruncatedSeries, coeff_list: list[TruncatedSeries]) -> TruncatedSeries:
-    # coeff_list[k] multiplies series**k
+def _powers(series: TruncatedSeries, k: int) -> list[TruncatedSeries]:
+    """series**1 .. series**k, taken once per system and shared by its readings."""
+    powers = [series]
+    while len(powers) < k:
+        powers.append(powers[-1] * series)
+    return powers
+
+
+def _polynomial_residual(powers: list[TruncatedSeries], coeff_list: list[TruncatedSeries]) -> TruncatedSeries:
+    # coeff_list[k] multiplies series**k, which is powers[k - 1]
     acc = coeff_list[0]
-    power = TruncatedSeries.one(series.order)
-    for coeff in coeff_list[1:]:
-        power = power * series
+    for coeff, power in zip(coeff_list[1:], powers):
         acc = acc + coeff * power
     return acc
 
@@ -173,22 +179,23 @@ def _algebraic_readings(name: str, order: int) -> Readings:
     coeffs = load_appendix_coefficients()
     zero = TruncatedSeries.zero(order)
 
+    @cache  # readings of one system share their coefficients
     def cs(key: str) -> TruncatedSeries:
         return coefficient_series(coeffs, key, order)
 
     if name == "alg:gf1":
-        g = families.series("G", order)
+        powers = _powers(families.series("G", order), 4)
         readings = []
         for label, a2key in (("literal", "alg_gf1_a2"), ("alpha2 minus 8t^2xy", "alg_gf1_a2_minus_8t2xy")):
             coeff_list = [cs("alg_gf1_a0"), cs("alg_gf1_a1"), cs(a2key), cs("alg_gf1_a3"), cs("alg_gf1_a4")]
-            readings.append((label, [("residual", _polynomial_residual(g, coeff_list), zero)]))
+            readings.append((label, [("residual", _polynomial_residual(powers, coeff_list), zero)]))
         return readings
     if name == "thm1.6i":
-        a = families.series("A", order)
+        powers = _powers(families.series("A", order), 4)
         coeff_list = [cs("quartic_r0"), cs("quartic_r1"), cs("quartic_r2"), -cs("quartic_r3"), cs("quartic_c4")]
-        return [("literal", [("residual", _polynomial_residual(a, coeff_list), zero)])]
+        return [("literal", [("residual", _polynomial_residual(powers, coeff_list), zero)])]
     if name == "alg:gf2":
-        m = families.series("M", order)
+        powers = _powers(families.series("M", order), 6)
         readings = []
         for label, b1key in (
             ("beta1 t^11 (literal)", "alg_gf2_b1_literal"),
@@ -196,13 +203,13 @@ def _algebraic_readings(name: str, order: int) -> Readings:
             ("beta1 t^10 minus x^2t", "alg_gf2_b1_t10_minus_x2t"),
         ):
             coeff_list = [cs("alg_gf2_b0"), cs(b1key)] + [cs(f"alg_gf2_b{k}") for k in range(2, 7)]
-            readings.append((label, [("residual", _polynomial_residual(m, coeff_list), zero)]))
+            readings.append((label, [("residual", _polynomial_residual(powers, coeff_list), zero)]))
         return readings
     if name == "bbs":
-        b = families.series("B", order)
+        powers = _powers(families.series("B", order), 2)
         readings = []
         for label, linkey in (("2t^2x", "bbs_lin_t2x"), ("2tx", "bbs_lin_tx")):
-            res = _polynomial_residual(b, [cs("bbs_q0"), cs(linkey), cs("bbs_q2")])
+            res = _polynomial_residual(powers, [cs("bbs_q0"), cs(linkey), cs("bbs_q2")])
             readings.append((label, [("residual", res, zero)]))
         return readings
     raise ValueError(f"unknown algebraic system: {name}")

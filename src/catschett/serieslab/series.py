@@ -56,19 +56,25 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         o = self._same_order(other)
-        # each output coefficient is summed in one dict and built once
-        sums: list[dict[tuple[int, int], int]] = [{} for _ in range(self.order + 1)]
+        # every term product is added straight into its output coefficient's dict,
+        # which is cleaned of zeros once
+        order = self.order
+        sums: list[dict[tuple[int, int], int]] = [{} for _ in range(order + 1)]
+        right = [(j, list(b.terms.items())) for j, b in enumerate(o.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j in range(self.order + 1 - i):
-                b = o.coeffs[j]
-                if not b:
-                    continue
+            left = list(a.terms.items())
+            for j, terms in right:
+                if i + j > order:
+                    break
                 acc = sums[i + j]
-                for k, c in (a * b).terms.items():
-                    acc[k] = acc.get(k, 0) + c
-        return TruncatedSeries(self.order, [LaurentPoly2(acc) for acc in sums])
+                get = acc.get
+                for (a1, b1), c1 in left:
+                    for (a2, b2), c2 in terms:
+                        k = (a1 + a2, b1 + b2)
+                        acc[k] = get(k, 0) + c1 * c2
+        return TruncatedSeries(order, [LaurentPoly2(acc) for acc in sums])
 
     def mul_monomial(self, tpow: int, xpow: int = 0, ypow: int = 0) -> "TruncatedSeries":
         """Multiply by t^tpow * x^xpow * y^ypow (tpow >= 0)."""

@@ -1,5 +1,6 @@
 """Named check registry: outcomes, report shape, determinism, failure localization."""
 
+import hashlib
 import json
 
 import pytest
@@ -32,6 +33,31 @@ def test_series_checks_pass_at_reduced_order(name):
     assert result.passed, result.detail
     assert result.first_failure is None
     assert result.readings is not None
+
+
+# sha256 of the lines of compact payload JSON of each series check at orders 4..12,
+# recorded while every reading took its own powers of the series
+READING_DIGESTS = {
+    "lem3.1": "c1d3093f88552fd8193ca5c2eeeef66698c72c170f2d55f2fd44e09d6f05f37f",
+    "eq:ee": "feb033bdae3409adf3cb15b87e521c5ff44c6bf2eaa1a3f358688a6c5afb063e",
+    "eq:eo": "2fe3f678037653a5912af56c9ebba4a6cf11fa5096fc5b7eeb0ada288e1b5667",
+    "eq:o": "296fc400ac281a3e6cb053e511260a8194c55db519f92ce69695b50eae9f16e4",
+    "eq:G": "22468963437464e6ba1bd5d370de43dc2b23d53a0a47ec323dbae4dc5542bbbf",
+    "eq:LE": "f5778f1f0fdba5863168a9d36e7c97ca447cb6fbbe61ab38644af5e2c9894143",
+    "alg:gf1": "e85c8ddaf9d37fb86302fba22a27ea8116c658bfa34c5560caaffa8cf5f9ca08",
+    "alg:gf2": "bc36eead20adeedb5ec91ffe6acb942d20fb9e43e5558176600725ee5d951577",
+    "thm1.6i": "f35a15cd8a3e002a3af21b9f689217028e4b4961f0e67961b040ba4c1389468f",
+    "bbs": "ea214ffb330097e12f523a4155f7ec0903db7b00a875eac8e5c2ba03d3f52f0c",
+}
+
+
+def test_series_readings_are_pinned():
+    # every reading's pass or first failure, at every order the benchmark sweeps
+    assert tuple(READING_DIGESTS) == SERIES_CHECKS
+    for name, expected in READING_DIGESTS.items():
+        payloads = (checks.run_check(name, order=order).payload() for order in range(4, 13))
+        text = "\n".join(json.dumps(p, separators=(",", ":")) for p in payloads)
+        assert hashlib.sha256(text.encode()).hexdigest() == expected, name
 
 
 def test_unknown_check_rejected():

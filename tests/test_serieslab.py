@@ -282,11 +282,30 @@ def test_substitutions_match_counter_oracle(p, a, b):
     assert_terms(lp.subs_y_x(), y_x)
 
 
+zero_rows = st.dictionaries(st.tuples(exponents, exponents), st.just(0), max_size=3)
+
+
 @st.composite
 def series_pairs(draw):
+    """Two series of one order whose product cancels, with all-zero rows at both ends.
+
+    With f[i + d] = -f[i] and g[m + d] = g[m], the terms f[i] g[m + d] and f[i + d] g[m]
+    of [t^(i + m + d)] cancel.
+    """
     order = draw(st.integers(0, 4))
     coeffs = st.lists(term_dicts, min_size=order + 1, max_size=order + 1)
-    return order, draw(coeffs), draw(coeffs)
+    f, g = draw(coeffs), draw(coeffs)
+    if order:
+        d = draw(st.integers(1, order))
+        i, m = draw(st.integers(0, order - d)), draw(st.integers(0, order - d))
+        f[i + d] = {k: -c for k, c in f[i].items()}
+        g[m + d] = dict(g[m])
+    for rows in (f, g):
+        low = draw(st.integers(0, min(2, order + 1)))
+        high = draw(st.integers(0, min(2, order + 1 - low)))
+        for k in (*range(low), *range(order + 1 - high, order + 1)):
+            rows[k] = draw(zero_rows)
+    return order, f, g
 
 
 def as_series(order, coeffs):

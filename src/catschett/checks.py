@@ -107,6 +107,8 @@ def _equidistributed(check: str, params: dict, what: str, left: tuple,
                      right: tuple) -> CheckResult | None:
     """The first size n <= params["n"] where two (kind, key) marginals differ, as a failure."""
     (lkind, lkey), (rkind, rkey) = left, right
+    stat_table(lkind, params["n"])  # the largest size first: one counting pass fills the rest
+    stat_table(rkind, params["n"])
     for n in range(params["n"] + 1):
         lhs = marginal(stat_table(lkind, n), lkey)
         rhs = marginal(stat_table(rkind, n), rkey)
@@ -160,6 +162,7 @@ def _transport(check: str, params: dict, name: str, carries, *, start: int = 0,
 
 def _check_thm12i(params: dict) -> CheckResult:
     nmax = params["n"]
+    stat_table("mndmna231", nmax)  # the largest size first: one counting pass fills the rest
     for n in range(nmax + 1):
         counts = marginal(stat_table("mndmna231", n), itemgetter(1, 0))
         for (a, d), c in sorted(counts.items()):
@@ -177,6 +180,7 @@ def _check_thm12ii(params: dict) -> CheckResult:
     if refined_catalan(3, 1) != 4:
         return _fail("thm1.2ii", params, "closed form fails spot value n=3, k=1",
                      f"refined_catalan(3, 1) = {refined_catalan(3, 1)}, expected 4")
+    stat_table("mndmna231", nmax)  # the largest size first: one counting pass fills the rest
     for n in range(nmax + 1):
         dist = marginal(stat_table("mndmna231", n), itemgetter(0))
         for k in range(n // 2 + 1):

@@ -3,11 +3,10 @@
 The degree-4 equation for G(t,x,y), the degree-6 equation for M(t,x,y), the
 quartic for A(t,x) = G(t,x,1), and the quadratic for the ascending-run
 enumerator B(t,x) = G(t,x,x) all have coefficients given in factored form.
-This script transcribes those factored forms, expands them with sympy, and
-emits ``src/catschett/serieslab/appendix_coefficients.json`` (or the path given
-as its one optional argument) holding each coefficient as a sorted list of
-[t-degree, x-degree, y-degree, integer] entries plus a checksum, so the
-transcription is reviewable as data.
+This module transcribes those factored forms and expands them in exact integer
+arithmetic at import into ``COEFFICIENTS``, holding each coefficient as a sorted
+tuple of (t-degree, x-degree, y-degree, integer) rows, so the transcription is
+reviewable as code.
 
 Multiple readings are kept wherever the printed source is ambiguous or fails
 the residual test against the enumerated series:
@@ -25,14 +24,59 @@ The library evaluates every reading against enumerated series and reports
 which passes; nothing here decides that.
 """
 
-import argparse
-import hashlib
-import json
-import pathlib
+from collections.abc import Mapping
+from functools import cache, reduce
+from operator import mul
+from types import MappingProxyType
 
-import sympy as sp
 
-t, x, y = sp.symbols("t x y")
+class _Poly:
+    """Integer polynomial in t, x, y: map from (t, x, y) exponents to a coefficient.
+
+    An int may stand on either side of +, - and *, as it does in the transcription.
+    Terms that cancel keep a zero coefficient until ``COEFFICIENTS`` drops them.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[tuple[int, int, int], int]):
+        self.terms = terms
+
+    def __add__(self, other: "_Poly | int") -> "_Poly":
+        terms = dict(self.terms)
+        for key, c in _poly(other).terms.items():
+            terms[key] = terms.get(key, 0) + c
+        return _Poly(terms)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: "_Poly | int") -> "_Poly":
+        return _poly(other).__rsub__(self)
+
+    def __rsub__(self, other: "_Poly | int") -> "_Poly":
+        return other + self * -1
+
+    def __mul__(self, other: "_Poly | int") -> "_Poly":
+        terms: dict[tuple[int, int, int], int] = {}
+        right = _poly(other).terms.items()
+        for (a, b, c), u in self.terms.items():
+            for (d, e, f), v in right:
+                key = (a + d, b + e, c + f)
+                terms[key] = terms.get(key, 0) + u * v
+        return _Poly(terms)
+
+    __rmul__ = __mul__
+
+    @cache  # the same powers of t, x and y recur hundreds of times
+    def __pow__(self, k: int) -> "_Poly":
+        return reduce(mul, [self] * k)  # k >= 1: the transcription has no zeroth power
+
+
+def _poly(value: "_Poly | int") -> _Poly:
+    return value if isinstance(value, _Poly) else _Poly({(0, 0, 0): value})
+
+
+t, x, y = _Poly({(1, 0, 0): 1}), _Poly({(0, 1, 0): 1}), _Poly({(0, 0, 1): 1})
 
 alpha4 = t**3 * (t**2 * y**2 + 4 * t * x + 4) * (y * t**2 - t**2 + t * x + 1) ** 2
 
@@ -564,32 +608,7 @@ POLYNOMIALS = {
     "bbs_q0": bbs_q0,
 }
 
-
-def to_monomials(expr) -> list[list[int]]:
-    poly = sp.Poly(sp.expand(expr), t, x, y)
-    rows = []
-    for (td, xd, yd), coef in poly.terms():
-        rows.append([int(td), int(xd), int(yd), int(coef)])
-    rows.sort()
-    return rows
-
-
-DEFAULT_DEST = (pathlib.Path(__file__).resolve().parent.parent
-                / "src" / "catschett" / "serieslab" / "appendix_coefficients.json")
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description="Expand the appendix coefficients to JSON.")
-    parser.add_argument("dest", nargs="?", type=pathlib.Path, default=DEFAULT_DEST,
-                        help="output path (default: the packaged appendix_coefficients.json)")
-    dest = parser.parse_args().dest
-    data = {name: to_monomials(expr) for name, expr in POLYNOMIALS.items()}
-    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    checksum = hashlib.sha256(payload.encode()).hexdigest()
-    out = {"coefficients": data, "sha256": checksum}
-    dest.write_text(json.dumps(out, sort_keys=True, indent=1) + "\n")
-    print(f"wrote {dest} ({len(data)} polynomials, sha256 {checksum[:16]}...)")
-
-
-if __name__ == "__main__":
-    main()
+# key -> sorted (t, x, y, coefficient) rows, zero terms dropped; read-only and shared
+COEFFICIENTS: Mapping[str, tuple[tuple[int, int, int, int], ...]] = MappingProxyType({
+    key: tuple(sorted(exps + (c,) for exps, c in poly.terms.items() if c))
+    for key, poly in POLYNOMIALS.items()})

@@ -6,14 +6,10 @@ reading carries named equations as (label, lhs, rhs) series pairs.  Evaluation
 never auto-corrects: every reading is reported with its own residual outcome.
 """
 
-import hashlib
-import json
 from collections.abc import Mapping
 from functools import cache
-from importlib import resources
-from types import MappingProxyType
 
-from catschett.serieslab import families
+from catschett.serieslab import appendix, families
 from catschett.serieslab.laurent import LaurentPoly2
 from catschett.serieslab.series import TruncatedSeries, geometric_t2
 
@@ -25,19 +21,9 @@ Equations = list[tuple[str, TruncatedSeries, TruncatedSeries]]
 Readings = list[tuple[str, Equations]]
 
 
-@cache
 def load_appendix_coefficients() -> Mapping[str, tuple]:
-    """The transcribed equation coefficients, checksum-verified once per process.
-
-    Read-only: a mapping proxy from key to a tuple of (t, x, y, coefficient) rows.
-    """
-    text = resources.files("catschett.serieslab").joinpath("appendix_coefficients.json").read_text()
-    data = json.loads(text)
-    payload = json.dumps(data["coefficients"], sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    if digest != data["sha256"]:
-        raise ValueError("appendix coefficient data does not match its checksum")
-    return MappingProxyType({key: tuple(map(tuple, rows)) for key, rows in data["coefficients"].items()})
+    """The transcribed equation coefficients: a read-only map from key to (t, x, y, coefficient) rows."""
+    return appendix.COEFFICIENTS
 
 
 def coefficient_series(coeffs: Mapping[str, tuple], key: str, order: int) -> TruncatedSeries:
@@ -124,36 +110,39 @@ def _functional_readings(name: str, order: int) -> Readings:
     if name == "eq:LE":
         m, le, lo, e, o = _series(order, "M", "LE", "LO", "E", "O")
         le_s, lo_s, e_s, o_s = le.swap_xy(), lo.swap_xy(), e.swap_xy(), o.swap_xy()
+        # each product feeds two equations: LE and E, LO and O, and their swapped forms
+        o_le, o_lo = o * (one + le), o * lo
+        o_le_s, o_lo_s = o_s * (one + le_s), o_s * lo_s
         equations = [
             ("M=LE+LO", m, le + lo),
             (
                 "LE",
                 le,
-                (o * (one + le)).mul_monomial(1, 1, 0) + lo_s.mul_monomial(1, 0, 0) + (e * lo_s).mul_monomial(1, 0, 1),
+                o_le.mul_monomial(1, 1, 0) + lo_s.mul_monomial(1, 0, 0) + (e * lo_s).mul_monomial(1, 0, 1),
             ),
             (
                 "LO",
                 lo,
-                (o * lo).mul_monomial(1, 1, 0)
+                o_lo.mul_monomial(1, 1, 0)
                 + (one + le_s).mul_monomial(1, 0, 0)
                 + ((one + le_s) * e).mul_monomial(1, 0, 1),
             ),
-            ("E", e, (o * (one + le)).mul_monomial(1, 0, 0) + ((one + e) * lo_s).mul_monomial(1, 0, 0)),
-            ("O", o, (o * lo).mul_monomial(1, 0, 0) + ((one + e) * (one + le_s)).mul_monomial(1, 0, 0)),
+            ("E", e, o_le.mul_monomial(1, 0, 0) + ((one + e) * lo_s).mul_monomial(1, 0, 0)),
+            ("O", o, o_lo.mul_monomial(1, 0, 0) + ((one + e) * (one + le_s)).mul_monomial(1, 0, 0)),
             (
                 "LE swapped",
                 le_s,
-                (o_s * (one + le_s)).mul_monomial(1, 0, 1) + lo.mul_monomial(1, 0, 0) + (e_s * lo).mul_monomial(1, 1, 0),
+                o_le_s.mul_monomial(1, 0, 1) + lo.mul_monomial(1, 0, 0) + (e_s * lo).mul_monomial(1, 1, 0),
             ),
             (
                 "LO swapped",
                 lo_s,
-                (o_s * lo_s).mul_monomial(1, 0, 1)
+                o_lo_s.mul_monomial(1, 0, 1)
                 + (one + le).mul_monomial(1, 0, 0)
                 + ((one + le) * e_s).mul_monomial(1, 1, 0),
             ),
-            ("E swapped", e_s, (o_s * (one + le_s)).mul_monomial(1, 0, 0) + ((one + e_s) * lo).mul_monomial(1, 0, 0)),
-            ("O swapped", o_s, (o_s * lo_s).mul_monomial(1, 0, 0) + ((one + e_s) * (one + le)).mul_monomial(1, 0, 0)),
+            ("E swapped", e_s, o_le_s.mul_monomial(1, 0, 0) + ((one + e_s) * lo).mul_monomial(1, 0, 0)),
+            ("O swapped", o_s, o_lo_s.mul_monomial(1, 0, 0) + ((one + e_s) * (one + le)).mul_monomial(1, 0, 0)),
         ]
         return [("literal", equations)]
     raise ValueError(f"unknown functional system: {name}")

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from catschett import checks, maps
+from catschett import checks, kernels, maps
 
 ENUM_CHECKS = ("thm1.2i", "thm1.2ii", "thm1.3", "thm1.4", "thm1.5", "thm2.3",
                "thm2.13", "lem2.2", "lem2.8", "lem2.10", "lem2.18", "prop2.11",
@@ -71,6 +71,23 @@ def test_report_payload_is_deterministic():
     assert json.dumps(a.payload()) == json.dumps(b.payload())
     assert "wall_time_ms" not in a.payload()
     assert a.to_json()["wall_time_ms"] >= 0
+
+
+@pytest.mark.parametrize("name, kinds", [("thm1.2i", {"mndmna231"}), ("thm1.2ii", {"mndmna231"}),
+                                         ("prop2.11", {"mndmna231", "mnemnw321"})])
+def test_table_checks_count_each_kind_once(monkeypatch, name, kinds):
+    passes = []
+
+    def counted(kind, count):
+        def count_pass(n):
+            passes.append(kind)
+            return count(n)
+        return count_pass
+
+    monkeypatch.setattr(kernels, "_TABLES", {})
+    monkeypatch.setattr(kernels, "_COUNTED", {k: counted(k, f) for k, f in kernels._COUNTED.items()})
+    assert checks.run_check(name).passed
+    assert sorted(passes) == sorted(kinds)
 
 
 def test_series_report_names_passing_reading():

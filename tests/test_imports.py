@@ -45,11 +45,11 @@ def test_scan_sees_an_unused_import():
     assert set(_imported(tree)) - _referenced(tree) == {"serialize_binary_tree"}
 
 
-# Where a public name may be used besides its own module: the library, its tests
-# and tools, the benchmark, and pyproject.toml (which names the ``catschett.cli:main``
+# Where a public name may be used besides its own module: the library, its tests,
+# the benchmark, and pyproject.toml (which names the ``catschett.cli:main``
 # entry point).
 PROJECT_FILES = sorted(
-    [p for d in ("src", "tests", "tools", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
     + [ROOT / "pyproject.toml"])
 
 

@@ -90,6 +90,10 @@ def _upsilon_inv(t: BinaryTree, base: int, out: list[int]) -> None:
 def phi_classic(p: Perm) -> BinaryTree:
     """Map a 231-avoider to a binary tree by splitting at the greatest letter."""
     _require_avoider(p, (2, 3, 1))
+    return _phi_classic(p)
+
+
+def _phi_classic(p: Perm) -> BinaryTree:
     # one stack pass: the stack holds the right spine built so far, each entry a
     # letter with its finished left subtree; a larger letter closes the entries below it
     spine: list[tuple[int, BinaryTree]] = []
@@ -239,19 +243,14 @@ def psi_kratt(p: Perm) -> str:
     """Map a 321-avoider to the Dyck path of its capped suffix-minimum heights."""
     _require_avoider(p, (3, 2, 1))
     n = len(p)
-    # east step i (0-based) sits at height min(i, min(p[i:]) - 1)
-    heights = [0] * n
+    # east step i (0-based) sits at height h = min(i, min(p[i:]) - 1), so it is
+    # step i + h of the word, after i easts and h norths
+    word = ["N"] * (2 * n)
     low = n
     for i in range(n - 1, -1, -1):
         if p[i] <= low:
             low = p[i] - 1
-        heights[i] = i if i < low else low
-    word = []
-    prev = 0
-    for g in heights:
-        word.append("N" * (g - prev) + "E")
-        prev = g
-    word.append("N" * (n - prev))
+        word[i + (i if i < low else low)] = "E"
     return "".join(word)
 
 
@@ -292,6 +291,10 @@ def lin_fu_phi(p: Perm) -> str:
 def lin_fu_phi_inv(word: str) -> Perm:
     """Invert the excedance-flag map by filling flagged slots increasingly."""
     _require(is_motzkin2_path(word), "not a two-flavored Motzkin path: {!r}", word)
+    return _lin_fu_phi_inv(word)
+
+
+def _lin_fu_phi_inv(word: str) -> Perm:
     n = len(word) + 1
     pos = [0] * (n + 1)
     val = [0] * (n + 1)
@@ -314,14 +317,18 @@ def lin_fu_phi_inv(word: str) -> Perm:
 
 
 _PAIR_FROM_LETTER = {"U": ("N", "E"), "D": ("E", "N"), "H": ("N", "N"), "T": ("E", "E")}
+_MU_FROM_LETTER = str.maketrans({ch: pair[0] for ch, pair in _PAIR_FROM_LETTER.items()})
+_NU_FROM_LETTER = str.maketrans({ch: pair[1] for ch, pair in _PAIR_FROM_LETTER.items()})
 
 
 def varsigma(word: str) -> tuple[str, str]:
     """Rewrite a two-flavored Motzkin path as a dominated walk pair."""
     _require(is_motzkin2_path(word), "not a two-flavored Motzkin path: {!r}", word)
-    mu = "".join(_PAIR_FROM_LETTER[ch][0] for ch in word)
-    nu = "".join(_PAIR_FROM_LETTER[ch][1] for ch in word)
-    return mu, nu
+    return _varsigma(word)
+
+
+def _varsigma(word: str) -> tuple[str, str]:
+    return word.translate(_MU_FROM_LETTER), word.translate(_NU_FROM_LETTER)
 
 
 _LETTER_FROM_PAIR = {v: k for k, v in _PAIR_FROM_LETTER.items()}
@@ -336,12 +343,12 @@ def varsigma_inv(pair: tuple[str, str]) -> str:
 
 def phi_cap(p: Perm) -> tuple[str, str]:
     """Map a 321-avoider to a dominated walk pair carrying excedances to east sets."""
-    return varsigma(lin_fu_phi(p))
+    return _varsigma(lin_fu_phi(p))  # lin_fu_phi writes a Motzkin path
 
 
 def phi_cap_inv(pair: tuple[str, str]) -> Perm:
     """Invert the excedance-transporting walk-pair map."""
-    return lin_fu_phi_inv(varsigma_inv(pair))
+    return _lin_fu_phi_inv(varsigma_inv(pair))  # a walk pair rewrites to a Motzkin path
 
 
 # ---------- 321-avoiders and 312-avoiders ----------
@@ -387,6 +394,10 @@ def _simion_schmidt(p: Perm, pick_largest: bool) -> Perm:
 def fz_history(p: Perm) -> tuple[str, tuple[int, ...]]:
     """Map a permutation to its valley-peak history with nesting weights."""
     check_permutation(p)
+    return _fz_history(p)
+
+
+def _fz_history(p: Perm) -> tuple[str, tuple[int, ...]]:
     n = len(p)
     q = inverse(p)
     framed = (0, *p, n + 1)  # framed[j] is the letter at position j, with 0 and n+1 outside
@@ -420,6 +431,10 @@ def fz_history_inv(word: str, weights) -> Perm:
     weights = tuple(weights)
     _require(is_laguerre_history(word, weights),
              "not a valid weighted history: {!r} {}", word, weights)
+    return _slot_insert(word, weights)
+
+
+def _slot_insert(word: str, weights: tuple[int, ...]) -> Perm:
     # the letters placed so far, cut at the open slots: slot w lies between
     # blocks[w] and blocks[w + 1], and value i fills slot weights[i - 1]
     blocks: list[list[int]] = [[], []]
@@ -437,30 +452,45 @@ def fz_history_inv(word: str, weights) -> Perm:
     return check_permutation(blocks[0] + blocks[1])
 
 
+# The composites below guard their own input and chain the cores: eta carries
+# 321-avoiders onto 312-avoiders, and psi_fz_inv writes 312-avoiders.  The
+# weights each core builds are a history's caps or zeros, so slot insertion
+# takes them unscanned; every built permutation is still checked.
+
 def psi_fz(p: Perm) -> Perm:
     """Map a 312-avoider to the 231-avoider with the same valley-peak word."""
     _require_avoider(p, (3, 1, 2))
-    word, weights = fz_history(p)
-    _require(all(w == 0 for w in weights), "unexpected nesting weights: {}", p)
-    return fz_history_inv(word, laguerre_weight_caps(word))
+    return _psi_fz(p)
+
+
+def _psi_fz(p: Perm) -> Perm:
+    word, weights = _fz_history(p)
+    _require(not any(weights), "unexpected nesting weights: {}", p)
+    return _slot_insert(word, laguerre_weight_caps(word))
 
 
 def psi_fz_inv(p: Perm) -> Perm:
     """Invert the valley-peak-word rewriting toward 312-avoiders."""
     _require_avoider(p, (2, 3, 1))
-    word, weights = fz_history(p)
+    return _psi_fz_inv(p)
+
+
+def _psi_fz_inv(p: Perm) -> Perm:
+    word, weights = _fz_history(p)
     _require(weights == laguerre_weight_caps(word), "unexpected nesting weights: {}", p)
-    return fz_history_inv(word, (0,) * len(word))
+    return _slot_insert(word, (0,) * len(word))
 
 
 def psi_cap(p: Perm) -> Perm:
     """Map a 321-avoider to a 231-avoider preserving left peak values."""
-    return psi_fz(eta(p))
+    _require_avoider(p, (3, 2, 1))
+    return _psi_fz(_simion_schmidt(p, pick_largest=True))
 
 
 def psi_cap_inv(p: Perm) -> Perm:
     """Invert the left-peak-preserving map."""
-    return eta_inv(psi_fz_inv(p))
+    _require_avoider(p, (2, 3, 1))
+    return _simion_schmidt(_psi_fz_inv(p), pick_largest=False)
 
 
 # ---------- plane trees and 231-avoiders ----------
@@ -569,7 +599,7 @@ def _gamma_restricted(n: int) -> dict[tuple[str, str], Perm]:
 def gamma_theta(p: Perm) -> Perm:
     """Carry a 231-avoider through the walk-pair map into the walk-triple preimage."""
     _require_avoider(p, (2, 3, 1))
-    mu, nu = theta(p)
+    mu, nu = viennot_v(_phi_classic(p))  # theta, guarded above
     table = _gamma_restricted(len(p))
     key = (mu, nu)
     _require(key in table, "walk pair escapes the restricted image: {}", p)

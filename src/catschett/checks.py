@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -201,15 +200,16 @@ def _check_thm13(params: dict) -> CheckResult:
         lhs: dict[tuple[int, int], int] = {}
         for p in avoiders(n, (2, 3, 1)):
             t = upsilon(p)
+            q = inverse(p)
             if descending_run_multiset(p) != left_chain_orders(t):
                 return _fail("thm1.3", params,
                              f"descending-run multiset differs from left-chain orders at n={n}",
                              serialize_permutation(p))
-            if ascending_run_multiset(inverse(p)) != right_chain_orders(t):
+            if ascending_run_multiset(q) != right_chain_orders(t):
                 return _fail("thm1.3", params,
                              f"inverse ascending-run multiset differs from right-chain orders at n={n}",
                              serialize_permutation(p))
-            key = (mnd(p), mna(inverse(p)))
+            key = (mnd(p), mna(q))
             lhs[key] = lhs.get(key, 0) + 1
         rhs: dict[tuple[int, int], int] = {}
         for t in binary_trees(n):
@@ -334,17 +334,12 @@ def _platform_marks(word: str) -> tuple[set[int], set[int]]:
     final: set[int] = set()
     penultimate: set[int] = set()
     e = 0
-    run = 0
-    for j, step in enumerate(word):
-        if step != "E":
-            continue
-        e += 1
-        run += 1
-        if j + 1 == len(word) or word[j + 1] != "E":
+    for run in word.split("N"):  # the maximal east runs, with empty strings between norths
+        if run:
+            e += len(run)
             final.add(e)
-            if run >= 2:
+            if len(run) >= 2:
                 penultimate.add(e - 1)
-            run = 0
     return final, penultimate
 
 
@@ -551,6 +546,7 @@ def run_all(n: int | None = None, order: int | None = None,
     names = list(_CHECKS)
     start = time.perf_counter()
     if jobs is not None and jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only here
         with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
             subresults = list(pool.map(_run_for_pool, [(nm, n, order) for nm in names]))
     else:

@@ -171,8 +171,15 @@ _SYMMETRIES = {
 }
 
 
+def _carried(scan, transform):
+    return lambda w: scan(transform(w))
+
+
+# Every supported pattern with its avoidance test on a tuple of distinct numbers.
 # 3-14-2 is 2-41-3 read backwards, and reversal keeps the middle pair adjacent.
-_VINCULAR_SCANS = {
+_AVOIDANCE_TESTS = {
+    **_SCANS,
+    **{pat: _carried(_SCANS[base], transform) for pat, (base, transform) in _SYMMETRIES.items()},
     "2-41-3": lambda w: not _occurs_2_41_3(w),
     "3-14-2": lambda w: not _occurs_2_41_3(w[::-1]),
 }
@@ -183,21 +190,17 @@ def avoids(p: Perm, pattern) -> bool:
 
     ``p`` is any sequence of distinct numbers; a repeated value raises ValueError.
     """
-    transform = None
-    if isinstance(pattern, str):
-        scan = _VINCULAR_SCANS.get(pattern)
-        if scan is None:
+    vincular = isinstance(pattern, str)
+    key = pattern if vincular else tuple(pattern)
+    test = _AVOIDANCE_TESTS.get(key)
+    if test is None:
+        if vincular:
             raise ValueError(f"unsupported vincular pattern: {pattern!r}")
-    else:
-        pat = tuple(pattern)
-        base, transform = _SYMMETRIES.get(pat, (pat, None))
-        scan = _SCANS.get(base)
-        if scan is None:
-            raise ValueError(f"unsupported classical pattern: {pat}")
+        raise ValueError(f"unsupported classical pattern: {key}")
     w = tuple(p)
     if len(set(w)) != len(w):
         raise ValueError(f"values must be distinct: {w}")
-    return scan(transform(w) if transform else w)
+    return test(w)
 
 
 def is_baxter(p: Perm) -> bool:
@@ -252,26 +255,32 @@ def _avoiders_321(n: int) -> Iterator[Perm]:
     completions, standardised, depend only on (j, r) with r values above m, and
     those with j + r = s are built from those with j + r = s - 1.  Size n reads
     each state with j + r = n - 1 once, so those are streamed as well.
+
+    Completions are held as bytes, one value a byte, so n is at most 255.
     """
-    layer: dict[int, Iterable[Perm]] = {0: [()]}  # j -> completions with j + r = s
+    if n > 255:
+        raise ValueError(f"321-avoiders are built for n <= 255, got {n}")
+    # placing value k first shifts the values >= k of a next-state completion up by one
+    shifts = [bytes.maketrans(bytes(range(k, 255)), bytes(range(k + 1, 256)))
+              for k in range(n + 1)]
+    layer: dict[int, Iterable[bytes]] = {0: [b""]}  # j -> completions with j + r = s
     for s in range(1, n):
-        states = {j: _completions_321(layer, j, s - j) for j in range(s + 1)}
+        states = {j: _completions_321(layer, shifts, j, s - j) for j in range(s + 1)}
         layer = states if s == n - 1 else {j: list(c) for j, c in states.items()}
-    return _completions_321(layer, 0, n)
+    return map(tuple, _completions_321(layer, shifts, 0, n))
 
 
-def _completions_321(layer: dict[int, Iterable[Perm]], j: int, r: int) -> Iterator[Perm]:
+def _completions_321(layer: dict[int, Iterable[bytes]], shifts: list[bytes],
+                     j: int, r: int) -> Iterator[bytes]:
     if j == r == 0:
-        yield ()
-    # step[v] relabels value v of a completion of the next state around the value placed
+        yield b""
     if j:  # the smallest pending value, 1
-        step = range(1, j + r + 1)
         for c in layer[j - 1]:
-            yield (1, *map(step.__getitem__, c))
-    for i in range(1, r + 1):  # the new maximum j + i
-        step = (*range(j + i), *range(j + i + 1, j + r + 1))
-        for c in layer[j + i - 1]:
-            yield (j + i, *map(step.__getitem__, c))
+            yield b"\x01" + c.translate(shifts[1])
+    for k in range(j + 1, j + r + 1):  # the new maximum k
+        head, shift = bytes((k,)), shifts[k]
+        for c in layer[k - 1]:
+            yield head + c.translate(shift)
 
 
 _BOTTOM_UP = {(2, 3, 1): _avoiders_231, (3, 2, 1): _avoiders_321}

@@ -1,9 +1,12 @@
 """Bijections: frozen images, round-trips, and statistic transports."""
 
 import hashlib
+from functools import lru_cache
+from itertools import product
 
 import pytest
 
+from catschett import bijections
 from catschett.bijections import (
     eta,
     eta_inv,
@@ -41,7 +44,11 @@ from catschett.objects.paths import (
     dyck_composition,
     dyck_paths,
     hor_set,
+    is_laguerre_history,
+    is_motzkin2_path,
     laguerre_histories,
+    laguerre_weight_caps,
+    motzkin2_paths,
     platform_multiset,
     serialize_laguerre_history,
     serialize_walk_pair,
@@ -51,7 +58,9 @@ from catschett.objects.paths import (
 from catschett.objects.permutations import (
     all_permutations,
     avoiders,
+    avoids,
     baxter_permutations,
+    check_permutation,
     identity,
     inverse,
     serialize_permutation,
@@ -264,7 +273,9 @@ PAIR, HISTORY = serialize_walk_pair, serialize_laguerre_history
 
 # sha256 of the lines "<n> <x> <f(x)>" over every x of size n <= top, in generation
 # order, recorded before the maps became single scans; the fz pair stops at n = 8,
-# where its domain, every permutation, already has 46,234 objects
+# where its domain, every permutation, already has 46,234 objects.  The lin_fu,
+# varsigma, Phi and gamma_theta entries were recorded before the composites began
+# to chain private cores.
 MAP_DIGESTS = {
     "upsilon": (A231, upsilon, PERM, BTREE, 9,
                 "bff35dd81f4d6aa38035d7c5679eb3ee74d6f8cde9091b855d2c15235fa75ab1"),
@@ -304,6 +315,20 @@ MAP_DIGESTS = {
                  "d270881a4394df898e537df522de0135bdfec61dba5e6b0de1efd73a54501d03"),
     "vartheta_inv": (A231, vartheta_inv, PERM, PTREE, 9,
                      "acf9bb51f6ca0357d323e7469dded05bf5ac9c9b34e27bc2153ceffa4ba2046d"),
+    "lin_fu_phi": (A321, lin_fu_phi, PERM, str, 9,
+                   "4e72945b7deb1914b146f8a472975292a5b20c0df8af278d0d23a0b8bbd16f7a"),
+    "lin_fu_phi_inv": (motzkin2_paths, lin_fu_phi_inv, str, PERM, 9,
+                       "37bf1d0c3d07e9489298c97e36a212422f80b325f21b7c52e59ebcee268481bc"),
+    "varsigma": (motzkin2_paths, varsigma, str, PAIR, 9,
+                 "2e9a9226026fa5a3dcab4458d155f6a1160c89f3cf3891c799a3cda0ebc50919"),
+    "varsigma_inv": (walk_pairs, varsigma_inv, PAIR, str, 9,
+                     "759ce3b1bd3fe93d6aacbdfaa71c88485db1c9e3566d79a39ad5d32c1bd3cc5a"),
+    "phi_cap": (A321, phi_cap, PERM, PAIR, 9,
+                "abeb8a1a4de9750daeef3f380800b4079675ea463e8e1f3cb1b1f6c0e7d53724"),
+    "phi_cap_inv": (walk_pairs, phi_cap_inv, PAIR, PERM, 9,
+                    "c88240d1aa165d39cc5d1a6c6699ed3024b56964bf22f56606c540a89660a415"),
+    "gamma_theta": (A231, gamma_theta, PERM, PERM, 8,
+                    "e3c89ab1c7cd2cf666f3b1b52aeba474d7d6e0278def8f380167ea1e78e4110e"),
 }
 
 
@@ -313,3 +338,165 @@ def test_map_images_are_pinned(name):
     sizes = range(1, top + 1) if domain is walk_pairs else range(top + 1)
     text = "\n".join(f"{n} {render_x(x)} {render_y(forward(x))}" for n in sizes for x in domain(n))
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+# ---------- the composites chain private cores: differential gate ----------
+
+def _guard(p, pattern):
+    check_permutation(p)
+    if not avoids(p, pattern):
+        raise ValueError(f"not {''.join(map(str, pattern))}-avoiding: {p}")
+
+
+def _psi_fz_chain(p):
+    # psi_fz as it read over the public history maps
+    _guard(p, (3, 1, 2))
+    word, weights = fz_history(p)
+    if any(weights):
+        raise ValueError(f"unexpected nesting weights: {p}")
+    return fz_history_inv(word, laguerre_weight_caps(word))
+
+
+def _psi_fz_inv_chain(p):
+    _guard(p, (2, 3, 1))
+    word, weights = fz_history(p)
+    if weights != laguerre_weight_caps(word):
+        raise ValueError(f"unexpected nesting weights: {p}")
+    return fz_history_inv(word, (0,) * len(word))
+
+
+def _fz_history_by_definition(p):
+    # value i at position j: its letter compares it with its framed neighbours, and its
+    # weight counts the descents p[m] > i > p[m + 1] with m + 1 < j
+    check_permutation(p)
+    framed = (0, *p, len(p) + 1)
+    word, weights = [], []
+    for i in range(1, len(p) + 1):
+        j = framed.index(i)
+        left, right = framed[j - 1], framed[j + 1]
+        word.append("U" if left > i < right else "D" if left < i > right
+                    else "H" if left < i < right else "T")
+        weights.append(sum(1 for m in range(1, j - 1) if framed[m] > i > framed[m + 1]))
+    return "".join(word), tuple(weights)
+
+
+@lru_cache(maxsize=None)
+def _histories_inverted(n):
+    return {fz_history(p): p for p in all_permutations(n)}
+
+
+def _fz_history_inv_by_lookup(word, weights):
+    weights = tuple(weights)
+    if not is_laguerre_history(word, weights):
+        raise ValueError(f"not a valid weighted history: {word!r} {weights}")
+    return _histories_inverted(len(word))[word, weights]
+
+
+def _varsigma_by_letters(word):
+    if not is_motzkin2_path(word):
+        raise ValueError(f"not a two-flavored Motzkin path: {word!r}")
+    pairs = {"U": "NE", "D": "EN", "H": "NN", "T": "EE"}
+    return "".join(pairs[ch][0] for ch in word), "".join(pairs[ch][1] for ch in word)
+
+
+@lru_cache(maxsize=None)
+def _lin_fu_inverted(m):
+    return {lin_fu_phi(p): p for p in avoiders(m + 1, (3, 2, 1))}
+
+
+def _lin_fu_phi_inv_by_lookup(word):
+    if not is_motzkin2_path(word):
+        raise ValueError(f"not a two-flavored Motzkin path: {word!r}")
+    return _lin_fu_inverted(len(word))[word]
+
+
+@lru_cache(maxsize=None)
+def _restricted_triples(n):
+    return {gamma(q)[:2]: q for q in avoiders(n, (2, 3, 1))}
+
+
+def _gamma_theta_chain(p):
+    _guard(p, (2, 3, 1))
+    return _restricted_triples(len(p))[theta(p)]
+
+
+NON_PERMUTATIONS = ((1, 1), (2,), (0, 1), (1, 3), (2, 2, 1), (1, 2, 4), (3, 1, 2, 2),
+                    [2, 1, 3], [3, 1, 2], [2, 3, 1])
+PERMUTATION_INPUTS = (*(p for n in range(8) for p in all_permutations(n)), *NON_PERMUTATIONS)
+MOTZKIN_WORDS = tuple("".join(w) for m in range(7) for w in product("UDHT", repeat=m))
+MOTZKIN_INPUTS = (*MOTZKIN_WORDS, "X", "UXD", "ud", "UDE")
+PAIR_INPUTS = (*((w[:m], w[m:]) for m in range(7) for w in map("".join, product("EN", repeat=2 * m))),
+               ("E", ""), ("EN", "E"), ("X", "N"), ("NE", "EN"), ("ENN", "NEN"))
+HISTORY_INPUTS = (*((w, laguerre_weight_caps(w)) for w in MOTZKIN_WORDS),
+                  *((w, (0,) * len(w)) for w in MOTZKIN_WORDS),
+                  *(h for n in range(7) for h in laguerre_histories(n)),
+                  ("UD", (0,)), ("UD", (0, 0, 0)), ("UHD", [0, 1, 0]), ("UHD", (0, -1, 0)))
+
+# each rewired map with the chain of public stages, or the definition, it must agree with
+DIFFERENTIAL = {
+    "psi_cap": (psi_cap, lambda p: psi_fz(eta(p)), PERMUTATION_INPUTS),
+    "psi_cap_inv": (psi_cap_inv, lambda p: eta_inv(psi_fz_inv(p)), PERMUTATION_INPUTS),
+    "psi_fz": (psi_fz, _psi_fz_chain, PERMUTATION_INPUTS),
+    "psi_fz_inv": (psi_fz_inv, _psi_fz_inv_chain, PERMUTATION_INPUTS),
+    "fz_history": (fz_history, _fz_history_by_definition, PERMUTATION_INPUTS),
+    "fz_history_inv": (lambda h: fz_history_inv(*h),
+                       lambda h: _fz_history_inv_by_lookup(*h), HISTORY_INPUTS),
+    "phi_cap": (phi_cap, lambda p: varsigma(lin_fu_phi(p)), PERMUTATION_INPUTS),
+    "phi_cap_inv": (phi_cap_inv, lambda x: lin_fu_phi_inv(varsigma_inv(x)), PAIR_INPUTS),
+    "varsigma": (varsigma, _varsigma_by_letters, MOTZKIN_INPUTS),
+    "lin_fu_phi_inv": (lin_fu_phi_inv, _lin_fu_phi_inv_by_lookup, MOTZKIN_INPUTS),
+    "gamma_theta": (gamma_theta, _gamma_theta_chain, PERMUTATION_INPUTS),
+}
+
+
+def _outcome(f, x):
+    try:
+        return "value", f(x)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_rewired_map_matches_its_stage_chain(name):
+    fast, oracle, inputs = DIFFERENTIAL[name]
+    outcomes = set()
+    for x in inputs:
+        expected = _outcome(oracle, x)
+        assert _outcome(fast, x) == expected, (name, x)
+        outcomes.add(expected[0])
+    assert outcomes == {"value", "ValueError"}  # both sides of each guard were reached
+
+
+# ---------- the composites check their input once ----------
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(bijections, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bijections, name, counted)
+    return calls
+
+
+def test_composites_validate_their_input_once(monkeypatch):
+    avoid_calls = _counting(monkeypatch, "avoids")
+    motzkin_scans = _counting(monkeypatch, "is_motzkin2_path")
+    history_scans = _counting(monkeypatch, "is_laguerre_history")
+    p321, p231 = FIG_PERM_321, psi_cap(FIG_PERM_321)
+    gamma_theta(FIG_PERM_231)  # fills the restricted-image table, which calls no guard
+    for f, x in ((psi_cap, p321), (psi_cap_inv, p231), (gamma_theta, FIG_PERM_231)):
+        avoid_calls.clear()
+        f(x)
+        assert len(avoid_calls) == 1, f.__name__
+    pair = phi_cap(FIG_PERM_EXC)
+    motzkin_scans.clear()
+    assert phi_cap_inv(pair) == FIG_PERM_EXC
+    assert motzkin_scans == []
+    p312 = eta(p321)
+    history_scans.clear()
+    assert psi_fz_inv(psi_fz(p312)) == p312
+    assert psi_cap_inv(psi_cap(p321)) == p321
+    assert history_scans == []

@@ -1,5 +1,6 @@
 """Named check registry: outcomes, report shape, determinism, failure localization."""
 
+import concurrent.futures
 import hashlib
 import json
 
@@ -167,7 +168,7 @@ def test_aggregate_caps_workers_at_number_of_checks(monkeypatch):
     def trivial(params):
         return checks.CheckResult("trivial", params, True, "ok")
 
-    monkeypatch.setattr(checks, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(checks, "_CHECKS", {"thm1.3": trivial, "eq:G": trivial})
     assert checks.run_check("all", jobs=64).passed
     assert checks.run_check("all", jobs=2).passed

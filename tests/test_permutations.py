@@ -188,6 +188,13 @@ def test_avoids_input_contract():
             avoiders(3, pattern)
 
 
+def test_321_avoiders_are_refused_past_one_byte_per_value():
+    # the builder holds values in bytes; the size is refused on the call, before any yield
+    for pattern in ((3, 2, 1), (1, 2, 3)):
+        with pytest.raises(ValueError, match="n <= 255"):
+            avoiders(256, pattern)
+
+
 def _occurs_vincular(p, tag):
     # positions i < j, j+1 < k whose values, with j and j+1 adjacent, standardize to the tag
     target = tuple(int(ch) for ch in tag if ch != "-")

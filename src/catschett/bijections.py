@@ -303,6 +303,10 @@ def _lin_fu_phi_inv(word: str) -> Perm:
         val[i + 1] = 1 if ch in "TD" else 0
     exc_positions = [i for i in range(1, n + 1) if pos[i]]
     exc_values = [i for i in range(1, n + 1) if val[i]]
+    # Neither output guard below fires on a valid word; both stay as guards.  A Motzkin
+    # path has as many U as D steps, so the U/T slot flags balance the T/D value flags;
+    # and the flagged and unflagged slots each take their values increasingly, so p
+    # merges two increasing sequences and holds no 321.
     _require(len(exc_positions) == len(exc_values), "unbalanced flags: {!r}", word)
     p = [0] * n
     for i, v in zip(exc_positions, exc_values):

@@ -77,8 +77,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     n = _bounded_size(args.n)
     pattern = None
     if args.family == "avoiders":
-        pattern = tuple(int(ch) for ch in args.pattern)
-    elif args.pattern != "231":
+        pattern = tuple(int(ch) for ch in (args.pattern or "231"))
+    elif args.pattern is not None:
         raise ValueError("--pattern applies only to the avoiders family")
     for line in _enumerate_lines(args.family, n, pattern):
         print(line)
@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="list a combinatorial family, one object per line")
     p_enum.add_argument("family", choices=_FAMILIES)
     p_enum.add_argument("n", type=int)
-    p_enum.add_argument("--pattern", choices=_PATTERNS, default="231",
+    p_enum.add_argument("--pattern", choices=_PATTERNS,
                         help="pattern for the avoiders family (default 231)")
     p_enum.set_defaults(func=cmd_enumerate)
 

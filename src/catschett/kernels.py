@@ -257,8 +257,6 @@ _COUNTED = {
     "mnemnw321": _mnemnw321,
 }
 
-TABLE_KINDS = tuple(sorted(_COUNTED))
-
 # (kind, n) -> read-only table; a counting pass to n stores every size up to n
 _TABLES: dict[tuple[str, int], MappingProxyType] = {}
 

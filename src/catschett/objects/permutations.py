@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import combinations, permutations as _permutations
+from itertools import permutations as _permutations
 from typing import Iterable, Iterator
 
 Perm = tuple[int, ...]
@@ -16,8 +16,6 @@ CLASSICAL_PATTERNS: tuple[Perm, ...] = (
     (3, 1, 2),
     (3, 2, 1),
 )
-
-VINCULAR_PATTERNS: tuple[str, str] = ("2-41-3", "3-14-2")
 
 
 def catalan(n: int) -> int:
@@ -64,11 +62,6 @@ def parse_permutation(text: str) -> Perm:
     return check_permutation(tuple(word))
 
 
-def identity(n: int) -> Perm:
-    """Return the identity permutation of [n]."""
-    return tuple(range(1, n + 1))
-
-
 def inverse(p: Perm) -> Perm:
     """Return the group inverse."""
     q = [0] * len(p)
@@ -91,27 +84,6 @@ def complement(p: Perm) -> Perm:
 def reverse_complement(p: Perm) -> Perm:
     """Compose reversal with complementation."""
     return complement(reverse(p))
-
-
-def standardize(word: Iterable[int]) -> Perm:
-    """Relabel distinct values order-isomorphically onto [k]."""
-    w = tuple(word)
-    if len(set(w)) != len(w):
-        raise ValueError(f"values must be distinct: {w}")
-    rank = {v: i + 1 for i, v in enumerate(sorted(w))}
-    return tuple(rank[v] for v in w)
-
-
-def contains(p: Perm, pattern: Perm) -> bool:
-    """Test classical pattern containment by scanning value subsequences.
-
-    O(n^k): the brute-force oracle for any pattern length; ``avoids`` is the fast test.
-    """
-    k = len(pattern)
-    if k == 0:
-        return True
-    target = standardize(pattern)
-    return any(standardize(sub) == target for sub in combinations(p, k))
 
 
 def _occurs_2_41_3(p: Perm) -> bool:

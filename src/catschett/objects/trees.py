@@ -36,13 +36,6 @@ def _rooted_pairs(levels: list[list[BinaryTree]], m: int) -> Iterator[BinaryTree
                 yield (left, right)
 
 
-def binary_node_count(t: BinaryTree) -> int:
-    """Count the nodes of a binary tree."""
-    if t is None:
-        return 0
-    return 1 + binary_node_count(t[0]) + binary_node_count(t[1])
-
-
 def serialize_binary_tree(t: BinaryTree) -> str:
     """Render a binary tree as dots and parenthesized pairs."""
     if t is None:
@@ -119,15 +112,6 @@ def right_arm(t: BinaryTree) -> int:
         k += 1
         t = t[1]
     return k
-
-
-def increasing_tree_shape(word) -> BinaryTree:
-    """Binary-tree shape of the minimum-rooted split of a word with distinct letters."""
-    w = tuple(word)
-    if not w:
-        return None
-    m = w.index(min(w))
-    return (increasing_tree_shape(w[:m]), increasing_tree_shape(w[m + 1:]))
 
 
 def plane_trees(n: int) -> Iterator[PlaneTree]:

@@ -1,12 +1,10 @@
-"""Catalan-Schett and classical Schett polynomials computed by independent routes."""
+"""Catalan-Schett polynomials computed by independent routes."""
 
 from __future__ import annotations
 
 from catschett.kernels import marginal, stat_table
-from catschett.objects.permutations import all_permutations
 from catschett.objects.trees import (
     binary_trees,
-    increasing_tree_shape,
     left_chain_orders,
     right_chain_orders,
 )
@@ -63,14 +61,3 @@ def catalan_schett(n: int, route: str = "trees") -> LaurentPoly2:
     if route not in _ROUTES:
         raise ValueError(f"unknown route: {route!r} (expected one of {sorted(_ROUTES)})")
     return _ROUTES[route](n)
-
-
-def schett_classical(n: int) -> LaurentPoly2:
-    """Sum x^olc y^orc over shapes of increasing binary trees on [n]."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    terms: dict[tuple[int, int], int] = {}
-    for p in all_permutations(n):
-        key = _odd_chain_counts(increasing_tree_shape(p))
-        terms[key] = terms.get(key, 0) + 1
-    return LaurentPoly2(terms)

@@ -25,10 +25,6 @@ class LaurentPoly2:
     def one(cls) -> "LaurentPoly2":
         return cls({(0, 0): 1})
 
-    @classmethod
-    def monomial(cls, a: int, b: int, c: int = 1) -> "LaurentPoly2":
-        return cls({(a, b): c})
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -67,36 +63,12 @@ class LaurentPoly2:
         """Exchange the two variables."""
         return LaurentPoly2({(b, a): c for (a, b), c in self.terms.items()})
 
-    def subs_y_one(self) -> "LaurentPoly2":
-        """Set y = 1."""
-        out: dict[tuple[int, int], int] = {}
-        for (a, _), c in self.terms.items():
-            out[(a, 0)] = out.get((a, 0), 0) + c
-        return LaurentPoly2(out)
-
-    def subs_y_x(self) -> "LaurentPoly2":
-        """Set y = x."""
-        out: dict[tuple[int, int], int] = {}
-        for (a, b), c in self.terms.items():
-            out[(a + b, 0)] = out.get((a + b, 0), 0) + c
-        return LaurentPoly2(out)
-
-    def eval_ones(self) -> int:
-        """Evaluate at x = y = 1."""
-        return sum(self.terms.values())
-
     def coefficient(self, a: int, b: int) -> int:
         return self.terms.get((a, b), 0)
 
     def sorted_terms(self) -> list[tuple[int, int, int]]:
         """Terms as (x exponent, y exponent, coefficient), ordered for stable output."""
         return [(a, b, self.terms[(a, b)]) for a, b in sorted(self.terms)]
-
-    def min_exponents(self) -> tuple[int, int]:
-        """Componentwise minima of the exponent pairs (0, 0) when empty."""
-        if not self.terms:
-            return (0, 0)
-        return (min(a for a, _ in self.terms), min(b for _, b in self.terms))
 
     def __str__(self) -> str:
         terms = sorted(self.sorted_terms(), key=lambda t: (-(t[0] + t[1]), -t[0]))

@@ -88,12 +88,6 @@ class TruncatedSeries:
     def swap_xy(self) -> "TruncatedSeries":
         return TruncatedSeries(self.order, [c.swap_xy() for c in self.coeffs])
 
-    def subs_y_one(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, [c.subs_y_one() for c in self.coeffs])
-
-    def subs_y_x(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, [c.subs_y_x() for c in self.coeffs])
-
     def coefficient(self, k: int) -> LaurentPoly2:
         return self.coeffs[k]
 

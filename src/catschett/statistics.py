@@ -50,22 +50,6 @@ def ascending_run_multiset(p: Perm) -> tuple[int, ...]:
     return gap_multiset(descent_set(p), len(p))
 
 
-def ascending_run_composition(p: Perm) -> tuple[int, ...]:
-    """Maximal ascending-run lengths in position order."""
-    if not p:
-        return ()
-    parts: list[int] = []
-    k = 1
-    for a, b in zip(p, p[1:]):
-        if a < b:
-            k += 1
-        else:
-            parts.append(k)
-            k = 1
-    parts.append(k)
-    return tuple(parts)
-
-
 def odr(p: Perm) -> int:
     """Number of odd maximal descending runs."""
     return sum(1 for k in descending_run_multiset(p) if k % 2)

@@ -3,7 +3,6 @@
 from catschett.objects.paths import dyck_composition, dyck_paths
 from catschett.objects.permutations import avoiders, inverse
 from catschett.statistics import (
-    ascending_run_composition,
     lpk_even,
     lpk_odd,
     mna,
@@ -13,6 +12,22 @@ from catschett.statistics import (
     pk_even,
     pk_odd,
 )
+
+
+def ascending_run_composition(p: tuple) -> tuple[int, ...]:
+    """Maximal ascending-run lengths in position order."""
+    if not p:
+        return ()
+    parts: list[int] = []
+    k = 1
+    for a, b in zip(p, p[1:]):
+        if a < b:
+            k += 1
+        else:
+            parts.append(k)
+            k = 1
+    parts.append(k)
+    return tuple(parts)
 
 
 def _bump(table: dict, key: tuple) -> None:

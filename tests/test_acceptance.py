@@ -1,5 +1,6 @@
 """Acceptance suite: exact, zero-tolerance gates over the whole library."""
 
+import functools
 import itertools
 import subprocess
 import sys
@@ -19,6 +20,11 @@ C6_TERMS = {(6, 0): 1, (4, 2): 27, (2, 4): 27, (0, 6): 1,
 
 def reading_map(result):
     return {row["reading"]: row for row in result.readings}
+
+
+# thm1.5 and thm2.13 are both a transport suite and an equidistribution identity;
+# the two tests below share one run of each at the shipped bounds
+shipped_run = functools.cache(run_check)
 
 
 def test_catalan_counts_six_patterns_under_ten_seconds():
@@ -65,7 +71,7 @@ BIJECTION_SUITES = (("thm1.3", {"n": 9}), ("thm1.4", {"n": 8}),
 
 def test_bijection_suites_at_shipped_bounds():
     for name, bounds in BIJECTION_SUITES:
-        result = run_check(name)
+        result = shipped_run(name)
         for key, value in bounds.items():
             assert result.params[key] == value, (name, result.params)
         assert result.passed, (name, result.detail)
@@ -83,7 +89,7 @@ def test_bijection_suites_at_shipped_bounds():
 
 def test_equidistribution_identities():
     for name in ("prop2.11", "thm2.13", "thm1.5"):
-        result = run_check(name)
+        result = shipped_run(name)
         assert result.params["n"] == 9
         assert result.passed, (name, result.detail)
     print("prop2.11, thm2.13, thm1.5: exact joint identities for n <= 9")

@@ -61,7 +61,6 @@ from catschett.objects.permutations import (
     avoids,
     baxter_permutations,
     check_permutation,
-    identity,
     inverse,
     serialize_permutation,
 )
@@ -73,6 +72,7 @@ from catschett.objects.trees import (
     serialize_plane_tree,
 )
 from catschett.statistics import ascent_set, descent_set, left_peak_values
+from oracles import identity
 
 FIG_PERM_231 = (1, 4, 3, 2, 9, 5, 7, 6, 8)
 FIG_PERM_321 = (2, 4, 5, 1, 3, 6, 8, 7, 9)

@@ -1,14 +1,19 @@
-"""Command-line interface: subcommands, formats, and the exit-code contract."""
+"""Command-line interface: subcommands, formats, and the exit-code contract.
 
+Most cases call ``cli.main`` in this process.  A few run ``python -m catschett.cli``
+as a child process, for the entry point, piped stdin, the exit codes 0, 1 and 2,
+and a report that must not change between processes.
+"""
+
+import io
 import json
-import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from catschett import config
+from catschett import checks, cli, config
 from catschett.objects.permutations import catalan
 
 CLI = [sys.executable, "-m", "catschett.cli"]
@@ -16,33 +21,62 @@ CLI = [sys.executable, "-m", "catschett.cli"]
 PINNED = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pinned.json"
 
 
-def run_cli(*args, stdin=None, config_path=None):
-    env = None
-    if config_path is not None:
-        env = {**os.environ, config.ENV_VAR: str(config_path)}
-    return subprocess.run(CLI + list(args), input=stdin,
-                          capture_output=True, text=True, env=env)
+def run_child(*args, stdin=None):
+    return subprocess.run(CLI + list(args), input=stdin, capture_output=True, text=True)
+
+
+@pytest.fixture
+def run_cli(monkeypatch, capsys):
+    """Run ``cli.main`` in this process; the result reads like a finished child process.
+
+    ``config._load`` is cached by path, so each overlay file is read on its first use.
+    """
+    def run(*args, stdin="", config_path=None):
+        if config_path is None:
+            monkeypatch.delenv(config.ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(config.ENV_VAR, str(config_path))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse refuses a malformed command line
+            code = exc.code
+        captured = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, captured.out, captured.err)
+
+    return run
 
 
 def test_enumerate_avoiders():
-    out = run_cli("enumerate", "avoiders", "3", "--pattern", "231")
+    out = run_child("enumerate", "avoiders", "3", "--pattern", "231")
     assert out.returncode == 0
     assert out.stdout.splitlines() == ["1 2 3", "1 3 2", "2 1 3", "3 1 2", "3 2 1"]
 
 
-def test_enumerate_dyck_one():
+def test_pattern_flag_applies_only_to_avoiders(run_cli):
+    assert run_cli("enumerate", "avoiders", "3").stdout == run_cli(
+        "enumerate", "avoiders", "3", "--pattern", "231").stdout
+    # spelling out the avoiders' default is refused too
+    for pattern in ("231", "321"):
+        out = run_cli("enumerate", "dyck", "2", "--pattern", pattern)
+        assert out.returncode == 2, pattern
+        assert out.stdout == ""
+        assert "--pattern applies only to the avoiders family" in out.stderr
+
+
+def test_enumerate_dyck_one(run_cli):
     out = run_cli("enumerate", "dyck", "1")
     assert out.returncode == 0
     assert out.stdout == "EN\n"
 
 
-def test_enumerate_empty_size_emits_empty_line():
+def test_enumerate_empty_size_emits_empty_line(run_cli):
     out = run_cli("enumerate", "avoiders", "0", "--pattern", "321")
     assert out.returncode == 0
     assert out.stdout == "\n"
 
 
-def test_enumerate_counts():
+def test_enumerate_counts(run_cli):
     for family, n, expected in (("btree", 4, catalan(4)), ("ptree", 4, catalan(4)),
                                 ("walkpair", 4, catalan(4)), ("laguerre", 4, 24),
                                 ("motzkin2", 3, catalan(4))):
@@ -51,14 +85,14 @@ def test_enumerate_counts():
         assert len(out.stdout.splitlines()) == expected
 
 
-def test_enumerate_usage_errors():
+def test_enumerate_usage_errors(run_cli):
     assert run_cli("enumerate", "nope", "3").returncode == 2
     assert run_cli("enumerate", "avoiders", "-1").returncode == 2
     assert run_cli("enumerate", "avoiders", "99").returncode == 2
     assert run_cli("enumerate", "dyck", "3", "--pattern", "321").returncode == 2
 
 
-def test_stats_descent_example():
+def test_stats_descent_example(run_cli):
     out = run_cli("stats", stdin="3 1 8 9 7 2 4 5 6\n")
     assert out.returncode == 0
     record = json.loads(out.stdout)
@@ -66,7 +100,7 @@ def test_stats_descent_example():
     assert record["odr"] == 5
 
 
-def test_stats_left_peak_example():
+def test_stats_left_peak_example(run_cli):
     out = run_cli("stats", stdin="3 2 7 1 6 5 4\n")
     record = json.loads(out.stdout)
     assert record["LPK"] == [3, 6, 7]
@@ -74,7 +108,7 @@ def test_stats_left_peak_example():
     assert record["lpk_e"] == 1
 
 
-def test_stats_identity():
+def test_stats_identity(run_cli):
     out = run_cli("stats", stdin="1 2 3\n")
     record = json.loads(out.stdout)
     assert record["DES"] == []
@@ -82,12 +116,12 @@ def test_stats_identity():
 
 
 def test_stats_parse_failure_reports_column():
-    out = run_cli("stats", stdin="3 x 1\n")
+    out = run_child("stats", stdin="3 x 1\n")
     assert out.returncode == 2
     assert "column 2" in out.stderr
 
 
-def test_stats_handles_paths_and_trees():
+def test_stats_handles_paths_and_trees(run_cli):
     out = run_cli("stats", stdin="EENN\n(. .)\n(())\n")
     assert out.returncode == 0
     records = [json.loads(line) for line in out.stdout.splitlines()]
@@ -97,53 +131,53 @@ def test_stats_handles_paths_and_trees():
 
 
 def test_map_round_trip():
-    out = run_cli("map", "psi", stdin="2 4 5 1 3 6 8 7 9\n")
+    out = run_child("map", "psi", stdin="2 4 5 1 3 6 8 7 9\n")
     assert out.returncode == 0
     assert out.stdout == "EEEENNENNNENEENNEN\n"
-    back = run_cli("map", "psi", "--dir", "inv", stdin=out.stdout)
+    back = run_child("map", "psi", "--dir", "inv", stdin=out.stdout)
     assert back.stdout == "2 4 5 1 3 6 8 7 9\n"
 
 
-def test_map_unicode_alias():
+def test_map_unicode_alias(run_cli):
     ascii_out = run_cli("map", "upsilon", stdin="3 1 2\n")
     alias_out = run_cli("map", "υ", stdin="3 1 2\n")
     assert ascii_out.stdout == alias_out.stdout == "((. .) (. .))\n"
 
 
-def test_map_rejects_inadmissible_input():
+def test_map_rejects_inadmissible_input(run_cli):
     out = run_cli("map", "Psi", stdin="4 1 3 2\n")
     assert out.returncode == 2
 
 
-def test_schett_text():
+def test_schett_text(run_cli):
     out = run_cli("schett", "4")
     assert out.returncode == 0
     assert out.stdout == "trees: x^4 + 8*x^2*y^2 + y^4 + 2*x^2 + 2*y^2\n"
 
 
-def test_schett_routes_agree_in_json():
+def test_schett_routes_agree_in_json(run_cli):
     out = run_cli("schett", "5", "--route", "all", "--format", "json")
     body = json.loads(out.stdout)
     assert body["routes"]["trees"] == body["routes"]["perm231"]
     assert body["routes"]["trees"] == body["routes"]["perm321"]
 
 
-def test_series_text():
+def test_series_text(run_cli):
     out = run_cli("series", "G", "--order", "3")
     assert out.returncode == 0
     assert out.stdout.splitlines() == ["[t^1] x", "[t^2] x^2 + y", "[t^3] 4*x*y + x"]
 
 
-def test_series_csv():
+def test_series_csv(run_cli):
     out = run_cli("series", "M", "--order", "2", "--format", "csv")
     assert out.stdout.splitlines() == ["t,x,y,coeff", "1,0,0,1", "2,0,0,1", "2,1,0,1"]
 
 
-def test_series_usage_error_without_name():
+def test_series_usage_error_without_name(run_cli):
     assert run_cli("series").returncode == 2
 
 
-def test_mna_table_rows_sum_to_catalan():
+def test_mna_table_rows_sum_to_catalan(run_cli):
     out = run_cli("series", "--table", "mna", "--n", "12", "--format", "csv")
     assert out.returncode == 0
     lines = out.stdout.splitlines()
@@ -155,17 +189,67 @@ def test_mna_table_rows_sum_to_catalan():
 
 
 def test_verify_pass_exit_zero():
-    out = run_cli("verify", "thm1.2ii", "--n", "5")
+    out = run_child("verify", "thm1.2ii", "--n", "5")
     assert out.returncode == 0
     assert out.stdout.startswith("PASS thm1.2ii (n=5):")
 
 
-def test_verify_unknown_check_is_usage_error():
+def _fail_lem22(params):
+    return checks.CheckResult("lem2.2", params, False, "forced failure", "2 3 1")
+
+
+def test_verify_failing_check_exits_one(run_cli, monkeypatch):
+    # one registered check made to fail: alone and within "all" it exits 1 and shows the FAIL
+    monkeypatch.setitem(checks._CHECKS, "lem2.2", _fail_lem22)
+    out = run_cli("verify", "lem2.2")
+    assert out.returncode == 1
+    assert out.stdout.startswith("FAIL lem2.2 (n=9): forced failure [")
+    assert out.stdout.endswith("]\n  counterexample: 2 3 1\n")
+    out = run_cli("verify", "lem2.2", "--format", "json")
+    body = json.loads(out.stdout)
+    assert out.returncode == 1
+    assert (body["pass"], body["counterexample"]) == (False, "2 3 1")
+    out = run_cli("verify", "all", "--n", "3", "--order", "3")
+    lines = out.stdout.splitlines()
+    assert out.returncode == 1
+    assert lines[0].startswith("FAIL all: failing checks: lem2.2 [")
+    assert [line for line in lines if "FAIL lem2.2" in line][0].startswith(
+        "  FAIL lem2.2 (n=3): forced failure [")
+    assert "    counterexample: 2 3 1" in lines
+    assert sum(line.startswith("  PASS ") for line in lines) == len(checks._CHECKS) - 1
+    out = run_cli("verify", "all", "--n", "3", "--order", "3", "--format", "json")
+    body = json.loads(out.stdout)
+    assert out.returncode == 1
+    assert body["pass"] is False
+    assert [(row["check"], row["counterexample"]) for row in body["checks"]
+            if not row["pass"]] == [("lem2.2", "2 3 1")]
+
+
+# the same failure through the real entry point: ``python -m catschett.cli`` after the patch
+FAILING_CHECK_CHILD = """
+import runpy, sys
+from catschett import checks
+checks._CHECKS["lem2.2"] = lambda params: checks.CheckResult(
+    "lem2.2", params, False, "forced failure", "2 3 1")
+sys.argv = ["catschett", "verify", "lem2.2"]
+runpy.run_module("catschett.cli", run_name="__main__")
+"""
+
+
+def test_failing_check_exits_one_from_the_entry_point():
+    out = subprocess.run([sys.executable, "-c", FAILING_CHECK_CHILD],
+                         capture_output=True, text=True)
+    assert out.returncode == 1, out.stderr
+    assert out.stdout.startswith("FAIL lem2.2 (n=9): forced failure [")
+    assert out.stderr == ""
+
+
+def test_verify_unknown_check_is_usage_error(run_cli):
     assert run_cli("verify", "nope").returncode == 2
     assert run_cli("verify").returncode == 2
 
 
-def test_verify_out_of_range_override_is_usage_error():
+def test_verify_out_of_range_override_is_usage_error(run_cli):
     # 0 is out of range too: it would examine nothing and report PASS
     for args in (("thm1.3", "--n", "-1"), ("thm1.3", "--n", "99"),
                  ("eq:G", "--order", "-1"), ("thm2.3", "--n", "0"), ("eq:G", "--order", "0")):
@@ -176,8 +260,9 @@ def test_verify_out_of_range_override_is_usage_error():
 
 
 def test_verify_json_deterministic():
-    first = run_cli("verify", "eq:eo", "--order", "6", "--format", "json")
-    second = run_cli("verify", "eq:eo", "--order", "6", "--format", "json")
+    # two processes, so two string-hash seeds and two cold caches
+    first = run_child("verify", "eq:eo", "--order", "6", "--format", "json")
+    second = run_child("verify", "eq:eo", "--order", "6", "--format", "json")
     a = json.loads(first.stdout)
     b = json.loads(second.stdout)
     a.pop("wall_time_ms")
@@ -188,14 +273,14 @@ def test_verify_json_deterministic():
     assert a["pass"] is True
 
 
-def test_verify_list():
+def test_verify_list(run_cli):
     out = run_cli("verify", "--list")
     assert out.returncode == 0
     names = out.stdout.split()
     assert "thm1.2i" in names and "all" in names
 
 
-def test_verify_multiple_checks():
+def test_verify_multiple_checks(run_cli):
     out = run_cli("verify", "lem3.1", "--check", "eq:G", "--order", "6",
                   "--format", "json")
     body = json.loads(out.stdout)
@@ -203,7 +288,7 @@ def test_verify_multiple_checks():
     assert out.returncode == 0
 
 
-def test_verify_jobs_below_one_is_usage_error():
+def test_verify_jobs_below_one_is_usage_error(run_cli):
     for args in (("all", "--jobs", "0"), ("all", "--jobs", "-5"), ("thm1.3", "--jobs", "0")):
         out = run_cli("verify", *args)
         assert out.returncode == 2, args
@@ -237,7 +322,7 @@ def test_config_overlay_rejects_malformed_entries(tmp_path, label):
         config._load(str(path))
 
 
-def test_verify_malformed_config_overlay_is_usage_error(tmp_path):
+def test_verify_malformed_config_overlay_is_usage_error(tmp_path, run_cli):
     for label in ("unknown-check", "bool-value", "negative-value", "string-bound",
                   "zero-value", "bound-below-defaults"):
         path = tmp_path / f"{label}.json"

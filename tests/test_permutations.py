@@ -1,5 +1,6 @@
 """Permutation object layer: counting, avoidance, serialization."""
 
+import functools
 import hashlib
 
 import pytest
@@ -24,7 +25,6 @@ from catschett.bijections import (
     vartheta_inv,
 )
 from catschett.objects.permutations import (
-    VINCULAR_PATTERNS,
     all_permutations,
     avoiders,
     avoids,
@@ -32,8 +32,6 @@ from catschett.objects.permutations import (
     catalan,
     check_permutation,
     complement,
-    contains,
-    identity,
     inverse,
     is_baxter,
     parse_permutation,
@@ -41,12 +39,43 @@ from catschett.objects.permutations import (
     reverse,
     reverse_complement,
     serialize_permutation,
-    standardize,
 )
+from oracles import contains, contains_vincular, identity, standardize
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
 
 PATTERNS = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
+VINCULAR_TAGS = ("2-41-3", "3-14-2")
+
+# The exhaustive oracle passes below see only values 1..8, so standardize meets
+# at most 8 * 7 * 6 * 5 distinct inputs and a cached copy of it gives the same answers.
+_rank = functools.cache(standardize)
+
+
+def _interned(answers):
+    # a few distinct answers over 40,320 permutations: hold one copy of each
+    pool: dict = {}
+    return [pool.setdefault(a, a) for a in answers]
+
+
+@functools.cache
+def _subset_scan(n):
+    """The classical patterns each permutation of [n] contains, in all_permutations order.
+
+    One pass serves all six patterns: the exhaustive test and the filter oracle.
+    """
+    return _interned(contains(p, PATTERNS, _rank) for p in all_permutations(n))
+
+
+@functools.cache
+def _position_scan(n):
+    """The vincular tags occurring in each permutation of [n]; one pass serves both tags."""
+    return _interned(contains_vincular(p, VINCULAR_TAGS, _rank) for p in all_permutations(n))
+
+
+def _scanned(scan, n):
+    return zip(all_permutations(n), scan(n), strict=True)
+
 
 perms = st.integers(min_value=0, max_value=7).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple))
@@ -86,10 +115,10 @@ def test_avoider_counts_are_catalan(pattern):
 
 def test_avoiders_match_filter_oracle():
     # unsorted: the generator itself must list the avoiders lexicographically, as
-    # all_permutations does; avoids is held to contains by the exhaustive test below
+    # all_permutations does; the filter is the subset scan, which also holds avoids below
     for pattern in PATTERNS:
         for n in range(9):
-            brute = [p for p in all_permutations(n) if avoids(p, pattern)]
+            brute = [p for p, found in _scanned(_subset_scan, n) if pattern not in found]
             assert list(avoiders(n, pattern)) == brute, (n, pattern)
 
 
@@ -121,8 +150,8 @@ def test_avoidance_spot_values():
 @pytest.mark.parametrize("pattern", PATTERNS)
 def test_avoids_matches_subset_scan_exhaustively(pattern):
     for n in range(9):
-        for p in all_permutations(n):
-            assert avoids(p, pattern) == (not contains(p, pattern)), (p, pattern)
+        for p, found in _scanned(_subset_scan, n):
+            assert avoids(p, pattern) == (pattern not in found), (p, pattern)
 
 
 @st.composite
@@ -167,12 +196,13 @@ def distinct_words(draw):
 @settings(deadline=None)
 @given(distinct_words())
 def test_avoids_matches_subset_scan_on_distinct_words(word):
+    found = contains(word, PATTERNS)
     for pattern in PATTERNS:
-        assert avoids(word, pattern) == (not contains(word, pattern)), (word, pattern)
+        assert avoids(word, pattern) == (pattern not in found), (word, pattern)
 
 
 def test_avoids_input_contract():
-    for pattern in PATTERNS + VINCULAR_PATTERNS:
+    for pattern in PATTERNS + VINCULAR_TAGS:
         for word in ((1, 1), (2, 1, 2), (5, 3, 1, 3)):
             with pytest.raises(ValueError, match="distinct"):
                 avoids(word, pattern)
@@ -195,19 +225,11 @@ def test_321_avoiders_are_refused_past_one_byte_per_value():
             avoiders(256, pattern)
 
 
-def _occurs_vincular(p, tag):
-    # positions i < j, j+1 < k whose values, with j and j+1 adjacent, standardize to the tag
-    target = tuple(int(ch) for ch in tag if ch != "-")
-    n = len(p)
-    return any(standardize((p[i], p[j], p[j + 1], p[k])) == target
-               for j in range(n - 1) for i in range(j) for k in range(j + 2, n))
-
-
-@pytest.mark.parametrize("tag", VINCULAR_PATTERNS)
+@pytest.mark.parametrize("tag", VINCULAR_TAGS)
 def test_vincular_avoidance_matches_position_scan_exhaustively(tag):
     for n in range(9):
-        for p in all_permutations(n):
-            assert avoids(p, tag) == (not _occurs_vincular(p, tag)), (p, tag)
+        for p, found in _scanned(_position_scan, n):
+            assert avoids(p, tag) == (tag not in found), (p, tag)
 
 
 # one input outside each guarded map's domain, with the exact message it raised
@@ -286,6 +308,16 @@ def test_reverse_and_complement():
 def test_standardize():
     assert standardize((4, 9, 2)) == (2, 3, 1)
     assert standardize(()) == ()
+
+
+def test_oracle_spot_values():
+    assert contains((1, 3, 2, 4), PATTERNS) == {(1, 2, 3), (1, 3, 2), (2, 1, 3)}
+    assert contains((), PATTERNS) == frozenset()
+    assert contains_vincular((2, 4, 1, 3), VINCULAR_TAGS) == {"2-41-3"}
+    assert contains_vincular((3, 1, 4, 2), VINCULAR_TAGS) == {"3-14-2"}
+    # 2 5 3 1 4 holds 2413 only with 5 and 1 apart
+    assert contains_vincular((2, 5, 3, 1, 4), VINCULAR_TAGS) == frozenset()
+    assert contains((2, 5, 3, 1, 4), [(2, 4, 1, 3)]) == {(2, 4, 1, 3)}
 
 
 def test_serialization_round_trip():

@@ -1,11 +1,9 @@
 """Catalan-Schett polynomials: frozen low degrees, route agreement, specializations."""
 
-import math
-
 import pytest
 
 from catschett.objects.permutations import avoiders, catalan, inverse
-from catschett.schett import catalan_schett, schett_classical
+from catschett.schett import catalan_schett
 from catschett.serieslab.laurent import LaurentPoly2
 from catschett.statistics import mne, mnw, oar, odr
 
@@ -48,18 +46,7 @@ def test_permutation_routes_match_enumeration(route, pattern, key):
 
 def test_catalan_specialization():
     for n in range(9):
-        assert catalan_schett(n, "trees").eval_ones() == catalan(n)
-
-
-def test_classical_specialization():
-    for n in range(7):
-        assert schett_classical(n).eval_ones() == math.factorial(n)
-
-
-def test_classical_small_values():
-    assert schett_classical(1) == LaurentPoly2({(1, 1): 1})
-    assert schett_classical(2).eval_ones() == 2
-    assert schett_classical(3).eval_ones() == 6
+        assert sum(catalan_schett(n, "trees").terms.values()) == catalan(n)
 
 
 def test_unknown_route_rejected():

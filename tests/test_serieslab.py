@@ -18,7 +18,7 @@ from catschett.serieslab.series import TruncatedSeries, geometric_t2
 
 
 def mono(a, b, c=1):
-    return LaurentPoly2.monomial(a, b, c)
+    return LaurentPoly2({(a, b): c})
 
 
 def t_power(order, k, coeff):
@@ -41,14 +41,12 @@ def test_laurent_arithmetic():
 def test_laurent_negative_exponents():
     inv_x = mono(-1, 0)
     assert inv_x * mono(1, 0) == LaurentPoly2.one()
-    assert inv_x.min_exponents()[0] == -1
+    assert inv_x.terms == {(-1, 0): 1}
 
 
 def test_laurent_substitutions():
     p = mono(2, 1, 3) + mono(0, 2)
-    assert p.subs_y_one() == mono(2, 0, 3) + mono(0, 0)
-    assert p.subs_y_x() == mono(3, 0, 3) + mono(2, 0)
-    assert p.eval_ones() == 4
+    assert sum(p.terms.values()) == 4
 
 
 def test_series_monomial_product():
@@ -83,7 +81,7 @@ def test_frozen_series_coefficients():
 def test_series_specializes_to_catalan():
     g = families.series("G", 9)
     for k in range(1, 10):
-        assert g.coefficient(k).eval_ones() == catalan(k)
+        assert sum(g.coefficient(k).terms.values()) == catalan(k)
 
 
 def test_route_equality_for_main_series():
@@ -100,7 +98,7 @@ def test_parity_block_decomposition():
     ee, eo, oe, oo = (families.series(name, order) for name in ("EE", "EO", "OE", "OO"))
     total = ee + eo + oe + oo
     for k in range(1, order + 1):
-        assert total.coefficient(k).eval_ones() == catalan(k)
+        assert sum(total.coefficient(k).terms.values()) == catalan(k)
     assert ee.coefficient(2) == mono(0, 1)
 
 
@@ -274,12 +272,6 @@ def test_substitutions_match_counter_oracle(p, a, b):
     lp = LaurentPoly2(p)
     assert_terms(lp.shift(a, b), {(x + a, y + b): c for (x, y), c in p.items()})
     assert_terms(lp.swap_xy(), {(y, x): c for (x, y), c in p.items()})
-    y_one, y_x = Counter(), Counter()
-    for (x, y), c in p.items():
-        y_one[(x, 0)] += c
-        y_x[(x + y, 0)] += c
-    assert_terms(lp.subs_y_one(), y_one)
-    assert_terms(lp.subs_y_x(), y_x)
 
 
 zero_rows = st.dictionaries(st.tuples(exponents, exponents), st.just(0), max_size=3)

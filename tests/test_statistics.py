@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from catschett.objects.permutations import avoiders, identity, inverse
+from catschett.objects.permutations import avoiders, inverse
 from catschett.statistics import (
     ascending_run_multiset,
     ascent_set,
@@ -32,6 +32,7 @@ from catschett.statistics import (
     tree_chain_profile,
     weak_excedance_set_shifted,
 )
+from oracles import identity
 
 perms = st.integers(min_value=0, max_value=8).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple))

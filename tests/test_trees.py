@@ -6,9 +6,7 @@ import pytest
 
 from catschett.objects.permutations import catalan
 from catschett.objects.trees import (
-    binary_node_count,
     binary_trees,
-    increasing_tree_shape,
     left_arm,
     left_chain_orders,
     parse_binary_tree,
@@ -68,7 +66,6 @@ def test_chain_orders_partition_nodes():
         for t in binary_trees(n):
             assert sum(left_chain_orders(t)) == n
             assert sum(right_chain_orders(t)) == n
-            assert binary_node_count(t) == n
 
 
 def test_arm_bounds():
@@ -108,16 +105,3 @@ def test_plane_node_count():
     assert plane_node_count(()) == 1
     assert plane_node_count(((), ())) == 3
 
-
-def test_increasing_tree_shape():
-    assert increasing_tree_shape(()) is None
-    assert increasing_tree_shape((1,)) == (None, None)
-    # min element splits the word; left part grows the left branch
-    assert increasing_tree_shape((2, 1, 3)) == ((None, None), (None, None))
-
-
-def test_increasing_tree_shape_counts():
-    from itertools import permutations
-    for n in range(1, 7):
-        shapes = {increasing_tree_shape(p) for p in permutations(range(1, n + 1))}
-        assert len(shapes) == catalan(n)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from catschett import checks, kernels, maps
+from catschett.serieslab.laurent import LaurentPoly2
 
 ENUM_CHECKS = ("thm1.2i", "thm1.2ii", "thm1.3", "thm1.4", "thm1.5", "thm2.3",
                "thm2.13", "lem2.2", "lem2.8", "lem2.10", "lem2.18", "prop2.11",
@@ -213,6 +214,12 @@ def _add(value, match):
     return lambda f: (lambda x: f(x) | {value} if match(x) else f(x))
 
 
+def _extra_term(route0, n0):
+    """catalan_schett with one stray term on ``route0`` at size ``n0``."""
+    return lambda f: (lambda n, route="trees": f(n, route) + LaurentPoly2({(9, 9): 1})
+                      if (n, route) == (n0, route0) else f(n, route))
+
+
 # (check, n, module, name, wrapper, detail, counterexample): one injected defect each.
 # "maps" rebinds a map or a domain generator in the registry, "checks" a statistic
 # or stat_table as the checks read them.
@@ -299,6 +306,29 @@ INJECTED_DEFECTS = [
      "mnd distribution deviates from closed form at n=4", "n=4, k=2: enumerated 4, closed form 3"),
     ("thm1.2ii", 5, "checks", "stat_table", _bump("mndmna231", 4, (9, 0, 0)),
      "mnd distribution total wrong at n=4", "n=4: total 15, expected 14"),
+    ("thm1.3", 4, "checks", "mnd", lambda f: lambda p: f(p) + (p == (2, 1, 3)),
+     "(mnd, mna o inv) distribution differs from tree (X, Y) at n=3",
+     "n=3: [((0, 1), 1), ((1, 0), 1), ((1, 1), 2), ((2, 1), 1)] vs "
+     "[((0, 1), 1), ((1, 0), 1), ((1, 1), 3)]"),
+    ("thm1.3", 4, "checks", "upsilon", lambda f: lambda p: f((1, 2, 3)) if p == (1, 3, 2) else f(p),
+     "descending-run multiset differs from left-chain orders at n=3", "1 3 2"),
+    ("thm1.3", 4, "checks", "catalan_schett", _extra_term("perm231", 3),
+     "tree and 231-avoider polynomial routes disagree at n=3", None),
+    ("lem2.18", 4, "checks", "idr", lambda f: lambda p: f(p) + (p == (2, 1, 3)),
+     "root leaf-child criterion disagrees with idr parity at n=3",
+     "(((()))): leaf child False, idr 3"),
+    ("cor2.6", 4, "checks", "descent_bottoms", _add(7, lambda p: p == (2, 1, 3)),
+     "inverse descent bottoms differ from descents at n=3", "2 1 3"),
+    ("cor2.6", 4, "checks", "gamma_theta", lambda f: lambda p: (1, 2, 3) if p == (2, 1, 3) else f(p),
+     "composite map does not preserve descents at n=3", "2 1 3"),
+    ("cor2.6", 4, "checks", "gamma", lambda f: lambda b: f((1, 2, 3)) if b == (1, 3, 2) else f(b),
+     "walk-triple map not injective at n=3", "1 2 3 and 1 3 2"),
+    ("schett-routes", 4, "checks", "catalan_schett", _extra_term("perm321", 3),
+     "route perm321 disagrees with the tree route at n=3",
+     "n=3: [(1, 1, 3), (1, 3, 1), (3, 1, 1), (9, 9, 1)] vs [(1, 1, 3), (1, 3, 1), (3, 1, 1)]"),
+    ("schett-routes", 4, "checks", "_FROZEN_POLYNOMIALS", lambda d: {**d, 4: {**d[4], (2, 2): 7}},
+     "computed polynomial differs from the frozen table at n=4",
+     "n=4: [(0, 2, 2), (0, 4, 1), (2, 0, 2), (2, 2, 8), (4, 0, 1)]"),
 ]
 
 

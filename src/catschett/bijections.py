@@ -568,7 +568,11 @@ def gamma(p: Perm) -> tuple[str, str, str]:
     return top, middle, bottom
 
 
-@lru_cache(maxsize=None)
+# the largest size gamma_inv inverts: its lookup table filters all n! permutations
+GAMMA_INV_MAX_SIZE = 9
+
+
+@lru_cache(maxsize=1)
 def _gamma_by_triple(n: int) -> dict[tuple[str, str, str], Perm]:
     table: dict[tuple[str, str, str], Perm] = {}
     for p in all_permutations(n):
@@ -582,13 +586,15 @@ def gamma_inv(triple: tuple[str, str, str]) -> Perm:
     top, middle, bottom = triple
     _require(len(top) == len(middle) == len(bottom), "walks must have equal length")
     n = len(middle) + 1
+    _require(n <= GAMMA_INV_MAX_SIZE, "walk-triple lookup covers sizes up to {}, got size {}",
+             GAMMA_INV_MAX_SIZE, n)
     table = _gamma_by_triple(n)
     key = (top, middle, bottom)
     _require(key in table, "not in the walk-triple image: {}", triple)
     return table[key]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _gamma_restricted(n: int) -> dict[tuple[str, str], Perm]:
     # over 231-avoiders the bottom walk repeats the middle one
     table: dict[tuple[str, str], Perm] = {}

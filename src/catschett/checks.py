@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 
 from catschett import config
@@ -26,7 +27,6 @@ from catschett.objects.permutations import (
     serialize_permutation,
 )
 from catschett.objects.trees import (
-    binary_trees,
     left_arm,
     left_chain_orders,
     plane_trees,
@@ -51,7 +51,6 @@ from catschett.statistics import (
     mna,
     mnd,
     modified_descent_tops,
-    tree_chain_profile,
     weak_excedance_set_shifted,
 )
 
@@ -86,115 +85,113 @@ class CheckResult:
 
     def to_json(self) -> dict:
         d = self.payload()
-        d["wall_time_ms"] = round(self.wall_time_ms, 3)
         if self.subresults is not None:
-            for row, sub in zip(d["checks"], self.subresults):
-                row["wall_time_ms"] = round(sub.wall_time_ms, 3)
+            d["checks"] = [s.to_json() for s in self.subresults]
+        d["wall_time_ms"] = round(self.wall_time_ms, 3)
         return d
 
 
-def _ok(check: str, params: dict, detail: str) -> CheckResult:
-    return CheckResult(check, params, True, detail)
+class Failed(Exception):
+    """A check's FAIL verdict, raised by its body; ``run_check`` turns it into the report.
+
+    A series check also carries its first failing coefficient and every reading.
+    """
+
+    def __init__(self, detail: str, counterexample: str | None = None, *,
+                 first_failure: dict | None = None, readings: list[dict] | None = None):
+        super().__init__(detail)
+        self.detail = detail
+        self.counterexample = counterexample
+        self.first_failure = first_failure
+        self.readings = readings
 
 
-def _fail(check: str, params: dict, detail: str,
-          counterexample: str | None = None) -> CheckResult:
-    return CheckResult(check, params, False, detail, counterexample)
-
-
-def _equidistributed(check: str, params: dict, what: str, left: tuple,
-                     right: tuple) -> CheckResult | None:
-    """The first size n <= params["n"] where two (kind, key) marginals differ, as a failure."""
+def _equidistributed(nmax: int, what: str, left: tuple, right: tuple) -> None:
+    """Raise Failed at the first size n <= nmax where two (kind, key) marginals differ."""
     (lkind, lkey), (rkind, rkey) = left, right
-    stat_table(lkind, params["n"])  # the largest size first: one counting pass fills the rest
-    stat_table(rkind, params["n"])
-    for n in range(params["n"] + 1):
+    stat_table(lkind, nmax)  # the largest size first: one counting pass fills the rest
+    stat_table(rkind, nmax)
+    for n in range(nmax + 1):
         lhs = marginal(stat_table(lkind, n), lkey)
         rhs = marginal(stat_table(rkind, n), rkey)
         if lhs != rhs:
-            return _fail(check, params, f"{what} at n={n}",
+            raise Failed(f"{what} at n={n}",
                          f"n={n}: {sorted(lhs.items())} vs {sorted(rhs.items())}")
-    return None
 
 
-def _transport(check: str, params: dict, name: str, carries, *, start: int = 0,
-               member=None, noun: str = "images", codomain=None) -> CheckResult | None:
-    """Run the registered map ``name`` over its domain for sizes start..params["n"].
+def _transport(name: str, nmax: int, carries, *, start: int = 0,
+               member=None, noun: str = "images", codomain=None) -> None:
+    """Run the registered map ``name`` over its domain for sizes start..nmax.
 
     Per object, in order: ``member(y, n)`` (a failure detail or None), injectivity,
     the round trip, then ``carries(x, y)`` (None, or a (detail, note) pair for a
     statistic the map does not carry).  Per size, the image must have Catalan many
     elements (counted as ``noun``), or, when ``codomain`` is given, equal the whole
     of ``codomain(n)``, the dominated walk pairs.
-    Returns the first failure, with the domain object rendered as counterexample.
+    Raises Failed at the first failure, with the domain object rendered as counterexample.
     """
     tmap = transport_map(name)
     forward, back, render = tmap.forward, tmap.inverse, tmap.render_domain
-    for n in range(start, params["n"] + 1):
+    for n in range(start, nmax + 1):
         image: set = set()
         for x in tmap.domain(n):
             y = forward(x)
             if member is not None:
                 outside = member(y, n)
                 if outside is not None:
-                    return _fail(check, params, outside, render(x))
+                    raise Failed(outside, render(x))
             if y in image:
-                return _fail(check, params, f"map not injective at n={n}", render(x))
+                raise Failed(f"map not injective at n={n}", render(x))
             image.add(y)
             if back(y) != x:
-                return _fail(check, params, f"round-trip fails at n={n}", render(x))
+                raise Failed(f"round-trip fails at n={n}", render(x))
             lost = carries(x, y)
             if lost is not None:
                 detail, note = lost
-                return _fail(check, params, f"{detail} at n={n}",
-                             f"{render(x)}: {note}" if note else render(x))
+                raise Failed(f"{detail} at n={n}", f"{render(x)}: {note}" if note else render(x))
         if codomain is not None:
             if image != set(codomain(n)):
-                return _fail(check, params, f"image is not all dominated walk pairs at n={n}",
+                raise Failed(f"image is not all dominated walk pairs at n={n}",
                              f"n={n}: {len(image)} images, "
                              f"{sum(1 for _ in codomain(n))} walk pairs")
         elif len(image) != catalan(n):
-            return _fail(check, params, f"image size wrong at n={n}",
+            raise Failed(f"image size wrong at n={n}",
                          f"n={n}: {len(image)} {noun}, expected {catalan(n)}")
-    return None
 
 
-def _check_thm12i(params: dict) -> CheckResult:
+def _check_thm12i(params: dict) -> str:
     nmax = params["n"]
     stat_table("mndmna231", nmax)  # the largest size first: one counting pass fills the rest
     for n in range(nmax + 1):
         counts = marginal(stat_table("mndmna231", n), itemgetter(1, 0))
         for (a, d), c in sorted(counts.items()):
             if counts.get((d, a), 0) != c:
-                return _fail(
-                    "thm1.2i", params,
+                raise Failed(
                     f"joint (mna, mnd) matrix over 231-avoiders asymmetric at n={n}",
                     f"n={n}: count(mna={a}, mnd={d})={c}, count(mna={d}, mnd={a})={counts.get((d, a), 0)}")
-    return _ok("thm1.2i", params,
-               f"joint (mna, mnd) distribution over 231-avoiders is symmetric for n <= {nmax}")
+    return f"joint (mna, mnd) distribution over 231-avoiders is symmetric for n <= {nmax}"
 
 
-def _check_thm12ii(params: dict) -> CheckResult:
+def _check_thm12ii(params: dict) -> str:
     nmax = params["n"]
     if refined_catalan(3, 1) != 4:
-        return _fail("thm1.2ii", params, "closed form fails spot value n=3, k=1",
+        raise Failed("closed form fails spot value n=3, k=1",
                      f"refined_catalan(3, 1) = {refined_catalan(3, 1)}, expected 4")
     stat_table("mndmna231", nmax)  # the largest size first: one counting pass fills the rest
     for n in range(nmax + 1):
         dist = marginal(stat_table("mndmna231", n), itemgetter(0))
         for k in range(n // 2 + 1):
             if dist.get(k, 0) != refined_catalan(n, k):
-                return _fail(
-                    "thm1.2ii", params, f"mnd distribution deviates from closed form at n={n}",
+                raise Failed(
+                    f"mnd distribution deviates from closed form at n={n}",
                     f"n={n}, k={k}: enumerated {dist.get(k, 0)}, closed form {refined_catalan(n, k)}")
         if sum(dist.values()) != catalan(n):
-            return _fail("thm1.2ii", params, f"mnd distribution total wrong at n={n}",
+            raise Failed(f"mnd distribution total wrong at n={n}",
                          f"n={n}: total {sum(dist.values())}, expected {catalan(n)}")
-    return _ok("thm1.2ii", params,
-               f"mnd over 231-avoiders matches the refined Catalan closed form for n <= {nmax}")
+    return f"mnd over 231-avoiders matches the refined Catalan closed form for n <= {nmax}"
 
 
-def _check_thm13(params: dict) -> CheckResult:
+def _check_thm13(params: dict) -> str:
     nmax = params["n"]
     for n in range(nmax + 1):
         lhs: dict[tuple[int, int], int] = {}
@@ -202,29 +199,24 @@ def _check_thm13(params: dict) -> CheckResult:
             t = upsilon(p)
             q = inverse(p)
             if descending_run_multiset(p) != left_chain_orders(t):
-                return _fail("thm1.3", params,
-                             f"descending-run multiset differs from left-chain orders at n={n}",
+                raise Failed(f"descending-run multiset differs from left-chain orders at n={n}",
                              serialize_permutation(p))
             if ascending_run_multiset(q) != right_chain_orders(t):
-                return _fail("thm1.3", params,
-                             f"inverse ascending-run multiset differs from right-chain orders at n={n}",
-                             serialize_permutation(p))
+                raise Failed(
+                    f"inverse ascending-run multiset differs from right-chain orders at n={n}",
+                    serialize_permutation(p))
             key = (mnd(p), mna(q))
             lhs[key] = lhs.get(key, 0) + 1
-        rhs: dict[tuple[int, int], int] = {}
-        for t in binary_trees(n):
-            prof = tree_chain_profile(t)
-            key = (prof["X"], prof["Y"])
-            rhs[key] = rhs.get(key, 0) + 1
+        # a chain of order k holds floor(k/2) pairs, so the tree route's odd chain
+        # counts (olc, orc) give X = (n - olc)/2 and Y = (n - orc)/2
+        trees = catalan_schett(n, "trees")
+        rhs = {((n - olc) // 2, (n - orc) // 2): c for (olc, orc), c in trees.terms.items()}
         if lhs != rhs:
-            return _fail("thm1.3", params,
-                         f"(mnd, mna o inv) distribution differs from tree (X, Y) at n={n}",
+            raise Failed(f"(mnd, mna o inv) distribution differs from tree (X, Y) at n={n}",
                          f"n={n}: {sorted(lhs.items())} vs {sorted(rhs.items())}")
-        if catalan_schett(n, "trees") != catalan_schett(n, "perm231"):
-            return _fail("thm1.3", params,
-                         f"tree and 231-avoider polynomial routes disagree at n={n}")
-    return _ok("thm1.3", params,
-               f"run-to-chain transport and (mnd, mna o inv) = (X, Y) hold for n <= {nmax}")
+        if trees != catalan_schett(n, "perm231"):
+            raise Failed(f"tree and 231-avoider polynomial routes disagree at n={n}")
+    return f"run-to-chain transport and (mnd, mna o inv) = (X, Y) hold for n <= {nmax}"
 
 
 def _marks_to_mnd(t, p):
@@ -239,10 +231,9 @@ def _sized_231(p, n: int) -> str | None:
     return None if ok else f"image is not a 231-avoider of size {n}"
 
 
-def _check_thm14(params: dict) -> CheckResult:
-    return (_transport("thm1.4", params, "vartheta", _marks_to_mnd, member=_sized_231)
-            or _ok("thm1.4", params, "plane-tree map is a mark-to-mnd bijection onto "
-                                     f"231-avoiders for n <= {params['n']}"))
+def _check_thm14(params: dict) -> str:
+    _transport("vartheta", params["n"], _marks_to_mnd, member=_sized_231)
+    return f"plane-tree map is a mark-to-mnd bijection onto 231-avoiders for n <= {params['n']}"
 
 
 def _left_peaks_kept(p, q):
@@ -256,14 +247,13 @@ def _is_231(q, n: int) -> str | None:
     return None if avoids(q, (2, 3, 1)) else f"image is not a 231-avoider at n={n}"
 
 
-def _check_thm15(params: dict) -> CheckResult:
+def _check_thm15(params: dict) -> str:
     lpk = itemgetter(0, 1)
-    return (_transport("thm1.5", params, "Psi", _left_peaks_kept, member=_is_231)
-            or _equidistributed("thm1.5", params,
-                                "(lpk_e, lpk_o) distributions differ between classes",
-                                ("lpkpk231", lpk), ("lpk321", lpk))
-            or _ok("thm1.5", params, "321-to-231 map preserves left-peak values and "
-                                     f"(lpk_e, lpk_o) for n <= {params['n']}"))
+    _transport("Psi", params["n"], _left_peaks_kept, member=_is_231)
+    _equidistributed(params["n"], "(lpk_e, lpk_o) distributions differ between classes",
+                     ("lpkpk231", lpk), ("lpk321", lpk))
+    return ("321-to-231 map preserves left-peak values and "
+            f"(lpk_e, lpk_o) for n <= {params['n']}")
 
 
 def _descents_to_walks(p, pair):
@@ -275,11 +265,9 @@ def _descents_to_walks(p, pair):
     return None
 
 
-def _check_thm23(params: dict) -> CheckResult:
-    return (_transport("thm2.3", params, "theta", _descents_to_walks,
-                       start=1, codomain=walk_pairs)
-            or _ok("thm2.3", params, "231-avoider walk-pair map transports (DES, ASC o inv) "
-                                     f"for n <= {params['n']}"))
+def _check_thm23(params: dict) -> str:
+    _transport("theta", params["n"], _descents_to_walks, start=1, codomain=walk_pairs)
+    return f"231-avoider walk-pair map transports (DES, ASC o inv) for n <= {params['n']}"
 
 
 def _excedances_to_walks(p, pair):
@@ -291,15 +279,13 @@ def _excedances_to_walks(p, pair):
     return None
 
 
-def _check_thm213(params: dict) -> CheckResult:
-    return (_transport("thm2.13", params, "Phi", _excedances_to_walks,
-                       start=1, codomain=walk_pairs)
-            or _equidistributed("thm2.13", params,
-                                "(mnd, mna o inv) on 231 differs from (mne, mnw o inv) on 321",
-                                ("mndmna231", itemgetter(0, 2)), ("mnemnw321", itemgetter(0, 1)))
-            or _ok("thm2.13", params,
-                   "321-avoider walk-pair map transports excedance data and the joint "
-                   f"(mnd, mna o inv) = (mne, mnw o inv) identity holds for n <= {params['n']}"))
+def _check_thm213(params: dict) -> str:
+    _transport("Phi", params["n"], _excedances_to_walks, start=1, codomain=walk_pairs)
+    _equidistributed(params["n"],
+                     "(mnd, mna o inv) on 231 differs from (mne, mnw o inv) on 321",
+                     ("mndmna231", itemgetter(0, 2)), ("mnemnw321", itemgetter(0, 1)))
+    return ("321-avoider walk-pair map transports excedance data and the joint "
+            f"(mnd, mna o inv) = (mne, mnw o inv) identity holds for n <= {params['n']}")
 
 
 def _runs_to_arms(p, t):
@@ -310,10 +296,9 @@ def _runs_to_arms(p, t):
     return None
 
 
-def _check_lem22(params: dict) -> CheckResult:
-    return (_transport("lem2.2", params, "upsilon", _runs_to_arms, noun="trees")
-            or _ok("lem2.2", params, "231-avoider tree map is an arm-statistic bijection "
-                                     f"for n <= {params['n']}"))
+def _check_lem22(params: dict) -> str:
+    _transport("upsilon", params["n"], _runs_to_arms, noun="trees")
+    return f"231-avoider tree map is an arm-statistic bijection for n <= {params['n']}"
 
 
 def _chains_to_platforms(t, w):
@@ -323,10 +308,10 @@ def _chains_to_platforms(t, w):
     return None
 
 
-def _check_lem28(params: dict) -> CheckResult:
-    return (_transport("lem2.8", params, "tau", _chains_to_platforms, noun="paths")
-            or _ok("lem2.8", params, "binary-tree lattice-path map carries left chains to "
-                                     f"platforms for n <= {params['n']}"))
+def _check_lem28(params: dict) -> str:
+    _transport("tau", params["n"], _chains_to_platforms, noun="paths")
+    return ("binary-tree lattice-path map carries left chains to "
+            f"platforms for n <= {params['n']}")
 
 
 def _platform_marks(word: str) -> tuple[set[int], set[int]]:
@@ -356,54 +341,47 @@ def _excedances_to_platforms(p, w):
     return None
 
 
-def _check_lem210(params: dict) -> CheckResult:
-    return (_transport("lem2.10", params, "psi", _excedances_to_platforms, noun="paths")
-            or _ok("lem2.10", params, "321-avoider lattice-path map marks non-excedances and "
-                                      f"descents for n <= {params['n']}"))
+def _check_lem210(params: dict) -> str:
+    _transport("psi", params["n"], _excedances_to_platforms, noun="paths")
+    return ("321-avoider lattice-path map marks non-excedances and "
+            f"descents for n <= {params['n']}")
 
 
-def _check_lem218(params: dict) -> CheckResult:
+def _check_lem218(params: dict) -> str:
     nmax = params["n"]
     for n in range(nmax + 1):
         for t in plane_trees(n):
             has_leaf_child = any(c == () for c in t)
             if has_leaf_child != (idr(vartheta(t)) % 2 == 1):
-                return _fail(
-                    "lem2.18", params,
-                    f"root leaf-child criterion disagrees with idr parity at n={n}",
-                    f"{serialize_plane_tree(t)}: leaf child {has_leaf_child}, "
-                    f"idr {idr(vartheta(t))}")
-    return _ok("lem2.18", params,
-               f"root has a leaf child iff the image has odd initial descending run, n <= {nmax}")
+                raise Failed(f"root leaf-child criterion disagrees with idr parity at n={n}",
+                             f"{serialize_plane_tree(t)}: leaf child {has_leaf_child}, "
+                             f"idr {idr(vartheta(t))}")
+    return f"root has a leaf child iff the image has odd initial descending run, n <= {nmax}"
 
 
-def _check_prop211(params: dict) -> CheckResult:
-    return (_equidistributed("prop2.11", params,
-                             "mnd on 231-avoiders differs from mne on 321-avoiders",
-                             ("mndmna231", itemgetter(0)), ("mnemnw321", itemgetter(0)))
-            or _ok("prop2.11", params, "mnd over 231-avoiders is equidistributed with mne "
-                                       f"over 321-avoiders, n <= {params['n']}"))
+def _check_prop211(params: dict) -> str:
+    _equidistributed(params["n"], "mnd on 231-avoiders differs from mne on 321-avoiders",
+                     ("mndmna231", itemgetter(0)), ("mnemnw321", itemgetter(0)))
+    return ("mnd over 231-avoiders is equidistributed with mne "
+            f"over 321-avoiders, n <= {params['n']}")
 
 
-def _check_cor26(params: dict) -> CheckResult:
+def _check_cor26(params: dict) -> str:
     nmax = params["n"]
     bmax = min(params["baxter_n"], nmax)
     for n in range(nmax + 1):
         for p in avoiders(n, (2, 3, 1)):
             if descent_bottoms(inverse(p)) != descent_set(p):
-                return _fail("cor2.6", params,
-                             f"inverse descent bottoms differ from descents at n={n}",
+                raise Failed(f"inverse descent bottoms differ from descents at n={n}",
                              serialize_permutation(p))
             if n == 0:
                 continue
             q = gamma_theta(p)
             if descent_set(q) != descent_set(p):
-                return _fail("cor2.6", params,
-                             f"composite map does not preserve descents at n={n}",
+                raise Failed(f"composite map does not preserve descents at n={n}",
                              serialize_permutation(p))
             if modified_descent_tops(inverse(q)) != descent_set(inverse(p)):
-                return _fail(
-                    "cor2.6", params,
+                raise Failed(
                     f"shifted descent tops of the inverse miss inverse descents at n={n}",
                     serialize_permutation(p))
     for n in range(1, bmax + 1):
@@ -411,13 +389,12 @@ def _check_cor26(params: dict) -> CheckResult:
         for b in baxter_permutations(n):
             triple = gamma(b)
             if triple in seen:
-                return _fail(
-                    "cor2.6", params, f"walk-triple map not injective at n={n}",
+                raise Failed(
+                    f"walk-triple map not injective at n={n}",
                     f"{serialize_permutation(seen[triple])} and {serialize_permutation(b)}")
             seen[triple] = b
-    return _ok("cor2.6", params,
-               f"descent-transport contract holds for n <= {nmax} and the walk-triple map "
-               f"is injective for n <= {bmax}")
+    return (f"descent-transport contract holds for n <= {nmax} and the walk-triple map "
+            f"is injective for n <= {bmax}")
 
 
 _FROZEN_POLYNOMIALS = {
@@ -431,27 +408,24 @@ _FROZEN_POLYNOMIALS = {
 }
 
 
-def _check_schett_routes(params: dict) -> CheckResult:
+def _check_schett_routes(params: dict) -> str:
     nmax = params["n"]
     for n in range(nmax + 1):
         polys = {route: catalan_schett(n, route) for route in ROUTES}
         for route, other in polys.items():
             if other != polys["trees"]:
-                return _fail("schett-routes", params,
-                             f"route {route} disagrees with the tree route at n={n}",
+                raise Failed(f"route {route} disagrees with the tree route at n={n}",
                              f"n={n}: {other.sorted_terms()} vs {polys['trees'].sorted_terms()}")
     for n, terms in sorted(_FROZEN_POLYNOMIALS.items()):
         if catalan_schett(n, "trees") != LaurentPoly2(terms):
-            return _fail("schett-routes", params,
-                         f"computed polynomial differs from the frozen table at n={n}",
+            raise Failed(f"computed polynomial differs from the frozen table at n={n}",
                          f"n={n}: {catalan_schett(n, 'trees').sorted_terms()}")
-    return _ok("schett-routes", params,
-               f"all three polynomial routes agree for n <= {nmax} and degrees 1..6 "
-               f"match the frozen table")
+    return (f"all three polynomial routes agree for n <= {nmax} and degrees 1..6 "
+            f"match the frozen table")
 
 
 def _series_check(name: str):
-    def run(params: dict) -> CheckResult:
+    def run(params: dict) -> tuple[str, list[dict]]:
         order = params["order"]
         rows: list[dict] = []
         passing: list[str] = []
@@ -476,13 +450,10 @@ def _series_check(name: str):
         else:
             ok = bool(passing)
             detail = f"passing reading: {passing[0]}" if ok else "no reading passes"
-        first_failure = None
         if not ok:
-            for row in rows:
-                if row["first_failure"] is not None:
-                    first_failure = row["first_failure"]
-                    break
-        return CheckResult(name, params, ok, detail, None, first_failure, rows)
+            raise Failed(detail, readings=rows, first_failure=next(
+                (row["first_failure"] for row in rows if row["first_failure"] is not None), None))
+        return detail, rows
 
     return run
 
@@ -510,10 +481,11 @@ CHECK_NAMES = tuple(_CHECKS) + ("all",)
 
 def run_check(name: str, n: int | None = None, order: int | None = None,
               jobs: int | None = None) -> CheckResult:
-    """Run one named check with optional size/order overrides.
+    """Run one named check with optional size/order overrides and report its verdict.
 
-    An override the check takes must lie in 1..enumeration_bound, and ``jobs``
-    must be at least 1, else ValueError.
+    A body returns its PASS detail (a series body also its readings) or raises
+    Failed.  An override the check takes must lie in 1..enumeration_bound, and
+    ``jobs`` must be at least 1, else ValueError.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -522,35 +494,34 @@ def run_check(name: str, n: int | None = None, order: int | None = None,
     if name not in _CHECKS:
         raise KeyError(f"unknown check: {name!r}")
     params = dict(config.check_params(name))
-    bound = config.enumeration_bound()
     for key, value in (("n", n), ("order", order)):
-        if value is None or key not in params:
-            continue  # an override the check does not take is ignored
-        if not 1 <= value <= bound:
-            raise ValueError(f"{key} must lie in 1..{bound} (the enumeration bound), got {value}")
-        params[key] = value
+        if value is not None and key in params:  # an override the check does not take is ignored
+            params[key] = config.require_bounded(key, value)
     start = time.perf_counter()
-    result = _CHECKS[name](params)
+    try:
+        verdict = _CHECKS[name](params)
+    except Failed as failure:
+        result = CheckResult(name, params, False, failure.detail, failure.counterexample,
+                             failure.first_failure, failure.readings)
+    else:
+        detail, readings = verdict if isinstance(verdict, tuple) else (verdict, None)
+        result = CheckResult(name, params, True, detail, readings=readings)
     result.wall_time_ms = (time.perf_counter() - start) * 1000.0
     return result
-
-
-def _run_for_pool(args: tuple) -> CheckResult:
-    name, n, order = args
-    return run_check(name, n=n, order=order)
 
 
 def run_all(n: int | None = None, order: int | None = None,
             jobs: int | None = None) -> CheckResult:
     """Run every named check and aggregate, fanning out over at most one process per check."""
     names = list(_CHECKS)
+    run = partial(run_check, n=n, order=order)
     start = time.perf_counter()
     if jobs is not None and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only here
         with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
-            subresults = list(pool.map(_run_for_pool, [(nm, n, order) for nm in names]))
+            subresults = list(pool.map(run, names))
     else:
-        subresults = [run_check(nm, n=n, order=order) for nm in names]
+        subresults = list(map(run, names))
     passed = all(s.passed for s in subresults)
     failing = [s.check for s in subresults if not s.passed]
     detail = ("all checks pass" if passed

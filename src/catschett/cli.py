@@ -57,15 +57,6 @@ _FAMILIES = {
 }
 
 
-def _bounded_size(n: int) -> int:
-    bound = config.enumeration_bound()
-    if n < 0:
-        raise ValueError(f"size must be nonnegative, got {n}")
-    if n > bound:
-        raise ValueError(f"size {n} exceeds the configured enumeration bound {bound}")
-    return n
-
-
 def _enumerate_lines(family: str, n: int, pattern: tuple[int, ...]) -> list[str]:
     generate, render = _FAMILIES[family]
     if family == "avoiders":  # already lexicographic
@@ -74,7 +65,7 @@ def _enumerate_lines(family: str, n: int, pattern: tuple[int, ...]) -> list[str]
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    n = _bounded_size(args.n)
+    n = config.require_bounded("size", args.n, low=0)
     pattern = None
     if args.family == "avoiders":
         pattern = tuple(int(ch) for ch in (args.pattern or "231"))
@@ -123,7 +114,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_schett(args: argparse.Namespace) -> int:
-    n = _bounded_size(args.n)
+    n = config.require_bounded("size", args.n, low=0)
     routes = ROUTES if args.route == "all" else (args.route,)
     polys = {route: catalan_schett(n, route) for route in routes}
     if args.format == "json":
@@ -159,12 +150,10 @@ def _emit_mna_table(nmax: int, fmt: str) -> None:
 
 def cmd_series(args: argparse.Namespace) -> int:
     if args.table is not None:
-        _emit_mna_table(_bounded_size(args.n), args.format)
+        _emit_mna_table(config.require_bounded("size", args.n, low=0), args.format)
         return 0
     if args.name is None:
         raise ValueError("choose a series name or --table mna")
-    if args.order < 0:
-        raise ValueError(f"order must be nonnegative, got {args.order}")
     series = families.series(args.name, args.order)
     if args.format == "json":
         body = {"series": args.name, "order": series.order,
@@ -204,14 +193,13 @@ def _print_report(result, prefix: str = "") -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = list(args.checks) + list(args.check or [])
-    if not names:
+    if not args.checks:
         raise ValueError("choose at least one check (or 'all')")
-    for name in names:
+    for name in args.checks:
         if name not in CHECK_NAMES:
             raise ValueError(f"unknown check: {name!r} (see 'catschett verify --list')")
     results = [run_check(name, n=args.n, order=args.order, jobs=args.jobs)
-               for name in names]
+               for name in args.checks]
     if args.format == "json":
         body = [r.to_json() for r in results]
         print(json.dumps(body[0] if len(body) == 1 else body, indent=2))
@@ -269,8 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run named checks and report")
     p_verify.add_argument("checks", nargs="*", metavar="check",
                           help="check names; see 'catschett verify --list'")
-    p_verify.add_argument("--check", action="append", metavar="name",
-                          help="additional check name (repeatable)")
     p_verify.add_argument("--list", action="store_true", dest="list_checks",
                           help="list the known check names and exit")
     p_verify.add_argument("--n", type=int, help="override the size bound")

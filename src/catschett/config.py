@@ -57,12 +57,9 @@ def _load(path: str | None) -> dict:
                 if key not in defaults:
                     raise ValueError(f"{where}: check {name!r} takes no parameter {key!r}")
                 defaults[key] = _require_int(value, f"{where}: {name}.{key}")
-    bound = cfg["enumeration_bound"]
     for name, params in cfg["checks"].items():
         for key, value in params.items():
-            if not 1 <= value <= bound:
-                raise ValueError(f"{where}: {name}.{key} must lie in 1..{bound} "
-                                 f"(the enumeration bound), got {value}")
+            require_bounded(f"{where}: {name}.{key}", value, bound=cfg["enumeration_bound"])
     return cfg
 
 
@@ -79,6 +76,19 @@ def load_config() -> dict:
 def enumeration_bound() -> int:
     """Hard cap on series truncation order and table sizes."""
     return _active()["enumeration_bound"]
+
+
+def require_bounded(what: str, value: int, low: int = 1, bound: int | None = None) -> int:
+    """``value`` if it lies in low..bound, the enumeration bound by default; else ValueError.
+
+    The one range rule for every size and order: check overrides, the command
+    line's sizes, series orders and the config table itself.
+    """
+    if bound is None:
+        bound = enumeration_bound()
+    if not low <= value <= bound:
+        raise ValueError(f"{what} must lie in {low}..{bound} (the enumeration bound), got {value}")
+    return value
 
 
 def check_params(name: str) -> dict:

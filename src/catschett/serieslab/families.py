@@ -45,11 +45,7 @@ def series(name: str, order: int) -> TruncatedSeries:
     """The named series truncated at t^order: [t^n] is the marginal of the size-n table."""
     if name not in SERIES:
         raise ValueError(f"unknown series: {name!r}")
-    bound = config.enumeration_bound()
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if order > bound:
-        raise ValueError(f"order {order} exceeds the configured enumeration bound {bound}")
+    config.require_bounded("order", order, low=0)
     kind, sizes, key = SERIES[name]
     first, step = _SIZES[sizes]
     coeffs = [LaurentPoly2.zero()] * (order + 1)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from catschett import checks, kernels, maps
+from catschett import checks, config, kernels, maps
 from catschett.serieslab.laurent import LaurentPoly2
 
 ENUM_CHECKS = ("thm1.2i", "thm1.2ii", "thm1.3", "thm1.4", "thm1.5", "thm2.3",
@@ -60,6 +60,28 @@ def test_series_readings_are_pinned():
         payloads = (checks.run_check(name, order=order).payload() for order in range(4, 13))
         text = "\n".join(json.dumps(p, separators=(",", ":")) for p in payloads)
         assert hashlib.sha256(text.encode()).hexdigest() == expected, name
+
+
+class _ReadRecorder(dict):
+    """Check parameters that remember every key a body reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_packaged_defaults_match_the_registry():
+    # the defaults name exactly the registered checks, each with the keys its body reads
+    defaults = config._defaults()["checks"]
+    assert sorted(defaults) == sorted(checks._CHECKS)
+    for name, body in checks._CHECKS.items():
+        params = _ReadRecorder({key: 3 for key in defaults[name]})
+        body(params)
+        assert params.read == set(defaults[name]), name
 
 
 def test_unknown_check_rejected():
@@ -167,7 +189,7 @@ def test_aggregate_caps_workers_at_number_of_checks(monkeypatch):
             return map(fn, items)
 
     def trivial(params):
-        return checks.CheckResult("trivial", params, True, "ok")
+        return "ok"
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(checks, "_CHECKS", {"thm1.3": trivial, "eq:G": trivial})

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from catschett import checks, cli, config
+from catschett import bijections, checks, cli, config
 from catschett.objects.permutations import catalan
 
 CLI = [sys.executable, "-m", "catschett.cli"]
@@ -149,6 +149,20 @@ def test_map_rejects_inadmissible_input(run_cli):
     assert out.returncode == 2
 
 
+def test_gamma_lookup_above_its_bound_is_usage_error(run_cli, monkeypatch):
+    # refused before the lookup table lists a single permutation
+    def listed(n):
+        raise AssertionError(f"all_permutations({n}) called")
+
+    size = bijections.GAMMA_INV_MAX_SIZE + 1
+    triple = "|".join(bijections.gamma(tuple(range(1, size + 1))))
+    monkeypatch.setattr(bijections, "all_permutations", listed)
+    out = run_cli("map", "gamma", "--dir", "inv", stdin=triple + "\n")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert f"up to {size - 1}, got size {size}" in out.stderr
+
+
 def test_schett_text(run_cli):
     out = run_cli("schett", "4")
     assert out.returncode == 0
@@ -195,7 +209,7 @@ def test_verify_pass_exit_zero():
 
 
 def _fail_lem22(params):
-    return checks.CheckResult("lem2.2", params, False, "forced failure", "2 3 1")
+    raise checks.Failed("forced failure", "2 3 1")
 
 
 def test_verify_failing_check_exits_one(run_cli, monkeypatch):
@@ -229,8 +243,9 @@ def test_verify_failing_check_exits_one(run_cli, monkeypatch):
 FAILING_CHECK_CHILD = """
 import runpy, sys
 from catschett import checks
-checks._CHECKS["lem2.2"] = lambda params: checks.CheckResult(
-    "lem2.2", params, False, "forced failure", "2 3 1")
+def fail(params):
+    raise checks.Failed("forced failure", "2 3 1")
+checks._CHECKS["lem2.2"] = fail
 sys.argv = ["catschett", "verify", "lem2.2"]
 runpy.run_module("catschett.cli", run_name="__main__")
 """
@@ -281,7 +296,7 @@ def test_verify_list(run_cli):
 
 
 def test_verify_multiple_checks(run_cli):
-    out = run_cli("verify", "lem3.1", "--check", "eq:G", "--order", "6",
+    out = run_cli("verify", "lem3.1", "eq:G", "--order", "6",
                   "--format", "json")
     body = json.loads(out.stdout)
     assert [row["check"] for row in body] == ["lem3.1", "eq:G"]

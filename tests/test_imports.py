@@ -1,5 +1,6 @@
-"""Every name a library or test module imports is used by that module, and every public
-name a library module defines is read by the library or the benchmark."""
+"""Every name a library or test module imports is used by that module, every public
+name a library module defines is read by the library or the benchmark, and every
+private module-level name is read by its own module."""
 
 import ast
 import functools
@@ -76,22 +77,28 @@ def _entry_points() -> set[str]:
     return {part for qualname in _TARGET.findall(scripts) for part in qualname.split(".")}
 
 
-def _public_definitions(tree: ast.Module) -> dict[str, ast.AST]:
-    """Public module-level function, class and constant -> its node; public methods too."""
+def _module_definitions(body: list[ast.stmt]) -> dict[str, ast.AST]:
+    """Function, class and constant defined by a statement of ``body`` -> that statement."""
     names: dict[str, ast.AST] = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names[node.name] = node
-        elif isinstance(node, ast.ClassDef):
-            names[node.name] = node
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    names[item.name] = item
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name):
                     names[target.id] = node
+    return names
+
+
+def _public_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Public module-level function, class and constant -> its node; public methods too."""
+    names = _module_definitions(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names.update(_module_definitions(
+                [item for item in node.body
+                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]))
     return {name: node for name, node in names.items() if not name.startswith("_")}
 
 
@@ -143,13 +150,27 @@ def _dead(tree: ast.Module, others, entry_points=frozenset(), exempt=frozenset()
                   if name not in named)
 
 
+def _unread_private(tree: ast.Module) -> list[str]:
+    """Private module-level definitions that no other statement of their module reads.
+
+    A read inside the definition itself (a recursive call) does not count, nor do
+    reads from other modules: tests may patch a private name, but not keep it alive.
+    """
+    private = {name: node for name, node in _module_definitions(tree.body).items()
+               if name.startswith("_") and not name.startswith("__")}
+    read = {name for node in tree.body for name, _ in _loads(node)
+            if private.get(name) is not node}
+    return sorted(f"{name} (line {node.lineno})" for name, node in private.items()
+                  if name not in read)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_dead_public_definition(path):
     tree = ast.parse(USER_SOURCES[path])
     others = [(p.relative_to(ROOT).as_posix(), text)
               for p, text in USER_SOURCES.items() if p != path]
     exempt = {name for module, name in EXEMPT if module == str(path.relative_to(SRC))}
-    dead = _dead(tree, others, _entry_points(), exempt)
+    dead = _dead(tree, others, _entry_points(), exempt) + _unread_private(tree)
     assert not dead, f"{path.name} defines but nothing uses: {', '.join(dead)}"
 
 
@@ -173,3 +194,13 @@ def test_dead_definition_scan_sees_an_unused_definition():
     assert _dead(tree, others, entry_points={"main"}) == [
         "commented (line 15)", "fact (line 16)", "put (line 11)", "tested (line 14)",
         "unused (line 5)"]
+
+
+def test_private_scan_sees_an_unread_private_definition():
+    tree = ast.parse("_LIMIT = 3\n_unused: int = 4\ndef _helper(): return _LIMIT\n"
+                     "def _stale(): pass\ndef _loop(n): return _loop(n - 1) if n else 0\n"
+                     "class _Box:\n    def get(self): return _Box()\n"
+                     "__all__ = ['run']\n"
+                     "def run(): return _helper()\n")
+    assert _unread_private(tree) == [
+        "_Box (line 6)", "_loop (line 5)", "_stale (line 4)", "_unused (line 2)"]

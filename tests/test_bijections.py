@@ -52,6 +52,7 @@ from catschett.objects.paths import (
     platform_multiset,
     serialize_laguerre_history,
     serialize_walk_pair,
+    serialize_walk_triple,
     ver_set,
     walk_pairs,
 )
@@ -108,13 +109,16 @@ def test_theta_round_trip_and_transport():
 
 
 def test_viennot_round_trip():
-    for n in range(1, 8):
+    for n in range(1, 11):
         images = set()
         for t in binary_trees(n):
             pair = viennot_v(t)
             assert viennot_v_inv(pair) == t
             images.add(pair)
-        assert images == set(walk_pairs(n))
+        pairs = set(walk_pairs(n))
+        assert images == pairs
+        for pair in pairs:
+            assert viennot_v(viennot_v_inv(pair)) == pair
 
 
 def test_phi_classic_round_trip():
@@ -267,15 +271,21 @@ def _fz_history_inv(history):
     return fz_history_inv(*history)
 
 
+def _baxter_triples(n):
+    # gamma's images; gamma_inv reads the empty permutation's empty triple as size 1
+    return map(gamma, baxter_permutations(n)) if n else iter(())
+
+
 A231, A321, A312 = _avoiding((2, 3, 1)), _avoiding((3, 2, 1)), _avoiding((3, 1, 2))
 PERM, BTREE, PTREE = serialize_permutation, serialize_binary_tree, serialize_plane_tree
-PAIR, HISTORY = serialize_walk_pair, serialize_laguerre_history
+PAIR, TRIPLE, HISTORY = serialize_walk_pair, serialize_walk_triple, serialize_laguerre_history
 
 # sha256 of the lines "<n> <x> <f(x)>" over every x of size n <= top, in generation
 # order, recorded before the maps became single scans; the fz pair stops at n = 8,
 # where its domain, every permutation, already has 46,234 objects.  The lin_fu,
 # varsigma, Phi and gamma_theta entries were recorded before the composites began
-# to chain private cores.
+# to chain private cores, and the gamma pair before its lookup tables called an
+# unguarded core.
 MAP_DIGESTS = {
     "upsilon": (A231, upsilon, PERM, BTREE, 9,
                 "bff35dd81f4d6aa38035d7c5679eb3ee74d6f8cde9091b855d2c15235fa75ab1"),
@@ -329,6 +339,10 @@ MAP_DIGESTS = {
                     "c88240d1aa165d39cc5d1a6c6699ed3024b56964bf22f56606c540a89660a415"),
     "gamma_theta": (A231, gamma_theta, PERM, PERM, 8,
                     "e3c89ab1c7cd2cf666f3b1b52aeba474d7d6e0278def8f380167ea1e78e4110e"),
+    "gamma": (baxter_permutations, gamma, PERM, TRIPLE, 7,
+              "dc865e2efc17c1143ec68814b0a785b76e11d40d602c30e42edc323f352c5e90"),
+    "gamma_inv": (_baxter_triples, gamma_inv, TRIPLE, PERM, 7,
+                  "a88b949654d6ed5d35c0d32228766d5574245b7b27d88e10b535f5e05d9057f0"),
 }
 
 

@@ -159,46 +159,32 @@ def viennot_v_inv(pair: tuple[str, str]) -> BinaryTree:
     """Invert the walk-pair tree map."""
     mu, nu = pair
     _require(is_walk_pair(mu, nu), "not a dominated walk pair: {}", pair)
-    tree = _v_parse(mu, nu)
-    _require(tree is not None, "walk pair has no tree preimage: {}", pair)
-    return tree
+    return _v_parse(mu, nu)
 
 
 def _v_parse(mu: str, nu: str) -> BinaryTree:
-    # a successful parse mirrors the forward recursion, so it is the unique preimage;
-    # dominance zeros only propose split points and failures backtrack
+    # The forward map writes mu = mu(a) N mu(b) E and nu = nu(a) N E nu(b), leaving
+    # out each child's part when the child is absent.  A pair ending on N has only a
+    # left child: dominance makes nu end on N too.  Otherwise the root splits after
+    # q letters where both words hold as many east steps and the letters fit: q = 0
+    # with nu opening on E, or mu[q-1] = nu[q-1] = N and nu[q] = E.  No later q fits:
+    # its mu[q-1] = N would lie in mu(b), and there nu leads mu in east steps by its
+    # opening E plus nu(b)'s lead over mu(b), which dominance keeps >= 0.  So the
+    # last q that fits is the split.
     m = len(mu)
     if m == 0:
         return (None, None)
     if mu[-1] == "N":
-        if nu[-1] != "N":
-            return None
-        sub = _v_parse(mu[:-1], nu[:-1])
-        return None if sub is None else (sub, None)
-    d = 0
-    zeros = [0]
-    for q in range(1, m):
-        d += (nu[q - 1] == "E") - (mu[q - 1] == "E")
-        if d == 0:
-            zeros.append(q)
-    for q in reversed(zeros):
-        if q == 0:
-            if nu[0] != "E":
-                continue
-            sub = _v_parse(mu[:-1], nu[1:])
-            if sub is not None:
-                return (None, sub)
-            continue
-        if mu[q - 1] != "N" or nu[q - 1] != "N" or nu[q] != "E":
-            continue
-        left = _v_parse(mu[:q - 1], nu[:q - 1])
-        if left is None:
-            continue
-        right = _v_parse(mu[q:m - 1], nu[q + 1:])
-        if right is None:
-            continue
-        return (left, right)
-    return None
+        return (_v_parse(mu[:-1], nu[:-1]), None)
+    lead = 0  # nu's lead over mu in east steps after q letters, read from the end
+    for q in range(m - 1, -1, -1):
+        lead -= (nu[q] == "E") - (mu[q] == "E")
+        if lead == 0 and nu[q] == "E":
+            if q == 0:
+                return (None, _v_parse(mu[:-1], nu[1:]))
+            if mu[q - 1] == nu[q - 1] == "N":
+                return (_v_parse(mu[:q - 1], nu[:q - 1]), _v_parse(mu[q:-1], nu[q + 1:]))
+    raise ValueError(f"walk pair has no tree preimage: {(mu, nu)}")
 
 
 def theta(p: Perm) -> tuple[str, str]:
@@ -560,6 +546,10 @@ def gamma(p: Perm) -> tuple[str, str, str]:
     """Map a Baxter permutation to the walk triple of its descent-derived sets."""
     check_permutation(p)
     _require(is_baxter(p), "not a Baxter permutation: {}", p)
+    return _gamma(p)
+
+
+def _gamma(p: Perm) -> tuple[str, str, str]:
     n = len(p)
     q = inverse(p)
     top = walk_from_positions(modified_descent_tops(q), n - 1)
@@ -568,16 +558,21 @@ def gamma(p: Perm) -> tuple[str, str, str]:
     return top, middle, bottom
 
 
-# the largest size gamma_inv inverts: its lookup table filters all n! permutations
+# The largest sizes the walk-triple lookups cover: gamma_inv's table filters all n!
+# permutations, and gamma_theta's holds every 231-avoider of one size.
 GAMMA_INV_MAX_SIZE = 9
+GAMMA_THETA_MAX_SIZE = 12
 
+
+# The tables below hold only Baxter permutations (231-avoiders are Baxter), so
+# they run the unguarded core.
 
 @lru_cache(maxsize=1)
 def _gamma_by_triple(n: int) -> dict[tuple[str, str, str], Perm]:
     table: dict[tuple[str, str, str], Perm] = {}
     for p in all_permutations(n):
         if is_baxter(p):
-            table[gamma(p)] = p
+            table[_gamma(p)] = p
     return table
 
 
@@ -599,7 +594,7 @@ def _gamma_restricted(n: int) -> dict[tuple[str, str], Perm]:
     # over 231-avoiders the bottom walk repeats the middle one
     table: dict[tuple[str, str], Perm] = {}
     for p in avoiders(n, (2, 3, 1)):
-        top, middle, bottom = gamma(p)
+        top, middle, bottom = _gamma(p)
         if middle != bottom:
             raise AssertionError(f"bottom differs from middle on a 231-avoider: {p}")
         table[(top, middle)] = p
@@ -609,6 +604,9 @@ def _gamma_restricted(n: int) -> dict[tuple[str, str], Perm]:
 def gamma_theta(p: Perm) -> Perm:
     """Carry a 231-avoider through the walk-pair map into the walk-triple preimage."""
     _require_avoider(p, (2, 3, 1))
+    _require(len(p) <= GAMMA_THETA_MAX_SIZE,
+             "restricted walk-triple lookup covers sizes up to {}, got size {}",
+             GAMMA_THETA_MAX_SIZE, len(p))
     mu, nu = viennot_v(_phi_classic(p))  # theta, guarded above
     table = _gamma_restricted(len(p))
     key = (mu, nu)

@@ -484,8 +484,9 @@ def run_check(name: str, n: int | None = None, order: int | None = None,
     """Run one named check with optional size/order overrides and report its verdict.
 
     A body returns its PASS detail (a series body also its readings) or raises
-    Failed.  An override the check takes must lie in 1..enumeration_bound, and
-    ``jobs`` must be at least 1, else ValueError.
+    Failed; a body that returns anything else fails.  An override the check
+    takes must lie in 1..enumeration_bound, and ``jobs`` must be at least 1,
+    else ValueError.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -504,8 +505,14 @@ def run_check(name: str, n: int | None = None, order: int | None = None,
         result = CheckResult(name, params, False, failure.detail, failure.counterexample,
                              failure.first_failure, failure.readings)
     else:
-        detail, readings = verdict if isinstance(verdict, tuple) else (verdict, None)
-        result = CheckResult(name, params, True, detail, readings=readings)
+        match verdict:
+            case str():
+                result = CheckResult(name, params, True, verdict)
+            case tuple((str(detail), list(readings))) if name in residuals.SYSTEMS:
+                result = CheckResult(name, params, True, detail, readings=readings)
+            case _:  # anything else is no verdict, so nothing passed
+                result = CheckResult(name, params, False,
+                                     f"check body returned {type(verdict).__name__}, not a verdict")
     result.wall_time_ms = (time.perf_counter() - start) * 1000.0
     return result
 

@@ -193,6 +193,9 @@ def _print_report(result, prefix: str = "") -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.list_checks:  # names given with --list are not run
+        print("\n".join(CHECK_NAMES))
+        return 0
     if not args.checks:
         raise ValueError("choose at least one check (or 'all')")
     for name in args.checks:
@@ -207,12 +210,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for r in results:
             _print_report(r)
     return 0 if all(r.passed for r in results) else 1
-
-
-def cmd_verify_list(args: argparse.Namespace) -> int:
-    for name in CHECK_NAMES:
-        print(name)
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -271,8 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.list_checks:
-        return cmd_verify_list(args)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -8,16 +8,6 @@ from typing import Iterable, Iterator
 
 Perm = tuple[int, ...]
 
-CLASSICAL_PATTERNS: tuple[Perm, ...] = (
-    (1, 2, 3),
-    (1, 3, 2),
-    (2, 1, 3),
-    (2, 3, 1),
-    (3, 1, 2),
-    (3, 2, 1),
-)
-
-
 def catalan(n: int) -> int:
     """Return the n-th Catalan number."""
     if n < 0:
@@ -129,54 +119,21 @@ def _avoids_321(word: Iterable[int]) -> bool:
     return True
 
 
-_SCANS = {(2, 3, 1): _avoids_231, (3, 2, 1): _avoids_321}
-
-# The other four length-3 patterns, each with its base (231 or 321) and the
-# involution carrying it there; it carries avoiders of the one onto avoiders of
-# the other.  complement maps v to n+1-v, which reverses the order of any distinct
-# numbers, so the scans still take any such sequence.
-_SYMMETRIES = {
-    (1, 2, 3): ((3, 2, 1), complement),
-    (1, 3, 2): ((2, 3, 1), reverse),
-    (2, 1, 3): ((2, 3, 1), complement),
-    (3, 1, 2): ((2, 3, 1), reverse_complement),
-}
-
-
-def _carried(scan, transform):
-    return lambda w: scan(transform(w))
-
-
-# Every supported pattern with its avoidance test on a tuple of distinct numbers.
-# 3-14-2 is 2-41-3 read backwards, and reversal keeps the middle pair adjacent.
-_AVOIDANCE_TESTS = {
-    **_SCANS,
-    **{pat: _carried(_SCANS[base], transform) for pat, (base, transform) in _SYMMETRIES.items()},
-    "2-41-3": lambda w: not _occurs_2_41_3(w),
-    "3-14-2": lambda w: not _occurs_2_41_3(w[::-1]),
-}
-
-
 def avoids(p: Perm, pattern) -> bool:
-    """Test avoidance of a length-3 classical pattern in O(n), or of a vincular tag in O(n^3).
+    """Test avoidance of a length-3 classical pattern in O(n).
 
     ``p`` is any sequence of distinct numbers; a repeated value raises ValueError.
     """
-    vincular = isinstance(pattern, str)
-    key = pattern if vincular else tuple(pattern)
-    test = _AVOIDANCE_TESTS.get(key)
-    if test is None:
-        if vincular:
-            raise ValueError(f"unsupported vincular pattern: {pattern!r}")
-        raise ValueError(f"unsupported classical pattern: {key}")
+    scan, _, transform = _pattern(pattern)
     w = tuple(p)
     if len(set(w)) != len(w):
         raise ValueError(f"values must be distinct: {w}")
-    return test(w)
+    return scan(w if transform is None else transform(w))
 
 
 def is_baxter(p: Perm) -> bool:
     """Test the two vincular avoidance conditions defining Baxter permutations."""
+    # 3-14-2 is 2-41-3 read backwards, and reversal keeps the middle pair adjacent
     return not _occurs_2_41_3(p) and not _occurs_2_41_3(p[::-1])
 
 
@@ -255,7 +212,30 @@ def _completions_321(layer: dict[int, Iterable[bytes]], shifts: list[bytes],
             yield head + c.translate(shift)
 
 
-_BOTTOM_UP = {(2, 3, 1): _avoiders_231, (3, 2, 1): _avoiders_321}
+# Each length-3 classical pattern with its base's scan and builder (231 or 321)
+# and the involution carrying it to the base, None for the bases themselves; it
+# carries avoiders of the one onto avoiders of the other.  complement maps v to
+# n+1-v, which reverses the order of any distinct numbers, so the scans still
+# take any such sequence.
+_PATTERNS = {
+    (1, 2, 3): (_avoids_321, _avoiders_321, complement),
+    (1, 3, 2): (_avoids_231, _avoiders_231, reverse),
+    (2, 1, 3): (_avoids_231, _avoiders_231, complement),
+    (2, 3, 1): (_avoids_231, _avoiders_231, None),
+    (3, 1, 2): (_avoids_231, _avoiders_231, reverse_complement),
+    (3, 2, 1): (_avoids_321, _avoiders_321, None),
+}
+
+CLASSICAL_PATTERNS: tuple[Perm, ...] = tuple(sorted(_PATTERNS))
+
+
+def _pattern(pattern) -> tuple:
+    # the table row of a classical pattern; anything else is refused
+    key = tuple(pattern)
+    row = _PATTERNS.get(key)
+    if row is None:
+        raise ValueError(f"unsupported classical pattern: {key}")
+    return row
 
 
 def avoiders(n: int, pattern) -> Iterator[Perm]:
@@ -267,12 +247,7 @@ def avoiders(n: int, pattern) -> Iterator[Perm]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    pat = tuple(pattern)
-    base, transform = _SYMMETRIES.get(pat, (pat, None))
-    build = _BOTTOM_UP.get(base)
-    if build is None:
-        raise ValueError(f"unsupported classical pattern: {pat}")
+    _, build, transform = _pattern(pattern)
     if transform is None:
         return build(n)
     return iter(sorted(map(transform, build(n))))
-

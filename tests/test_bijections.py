@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from catschett import bijections
+from catschett import bijections, config
 from catschett.bijections import (
     eta,
     eta_inv,
@@ -261,6 +261,19 @@ def test_gamma_theta_contract():
             q = gamma_theta(p)
             assert descent_set(q) == descent_set(p)
             assert modified_descent_tops(inverse(q)) == descent_set(inverse(p))
+
+
+def test_gamma_theta_refuses_sizes_above_its_bound(monkeypatch):
+    # every size the packaged config lets cor2.6 reach is covered, and a larger
+    # one is refused before the restricted table lists a single avoider
+    def listed(n, pattern):
+        raise AssertionError(f"avoiders({n}, {pattern}) called")
+
+    size = bijections.GAMMA_THETA_MAX_SIZE + 1
+    assert size > config.enumeration_bound()
+    monkeypatch.setattr(bijections, "avoiders", listed)
+    with pytest.raises(ValueError, match=f"up to {size - 1}, got size {size}$"):
+        gamma_theta(tuple(range(1, size + 1)))
 
 
 def _avoiding(pattern):

@@ -239,6 +239,19 @@ def test_verify_failing_check_exits_one(run_cli, monkeypatch):
             if not row["pass"]] == [("lem2.2", "2 3 1")]
 
 
+def test_verify_body_returning_no_verdict_fails(run_cli, monkeypatch):
+    # a body that returns anything but its detail (or a series body's detail and
+    # readings) has given no verdict, even a passing CheckResult
+    def report(params):
+        return checks.CheckResult("lem2.2", params, True, "looks done")
+
+    monkeypatch.setitem(checks._CHECKS, "lem2.2", report)
+    out = run_cli("verify", "lem2.2")
+    assert out.returncode == 1
+    assert out.stdout.startswith(
+        "FAIL lem2.2 (n=9): check body returned CheckResult, not a verdict [")
+
+
 # the same failure through the real entry point: ``python -m catschett.cli`` after the patch
 FAILING_CHECK_CHILD = """
 import runpy, sys
@@ -293,6 +306,9 @@ def test_verify_list(run_cli):
     assert out.returncode == 0
     names = out.stdout.split()
     assert "thm1.2i" in names and "all" in names
+    # names given with --list are listed over, not run or checked
+    listed = run_cli("verify", "--list", "lem2.2", "nope")
+    assert (listed.returncode, listed.stdout) == (0, out.stdout)
 
 
 def test_verify_multiple_checks(run_cli):

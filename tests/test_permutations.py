@@ -25,6 +25,7 @@ from catschett.bijections import (
     vartheta_inv,
 )
 from catschett.objects.permutations import (
+    _occurs_2_41_3,
     all_permutations,
     avoiders,
     avoids,
@@ -202,15 +203,17 @@ def test_avoids_matches_subset_scan_on_distinct_words(word):
 
 
 def test_avoids_input_contract():
-    for pattern in PATTERNS + VINCULAR_TAGS:
+    for pattern in PATTERNS:
         for word in ((1, 1), (2, 1, 2), (5, 3, 1, 3)):
             with pytest.raises(ValueError, match="distinct"):
                 avoids(word, pattern)
-    for pattern in ((1, 2), (1, 2, 3, 4), (1, 1, 2), "2-14-3"):
-        with pytest.raises(ValueError, match="unsupported"):
-            avoids((1, 2, 3), pattern)
+    # the pattern is refused before the word is read
+    for pattern in ((1, 2), (1, 2, 3, 4), (1, 1, 2), "2-14-3", *VINCULAR_TAGS):
+        for word in ((1, 2, 3), (1, 1)):
+            with pytest.raises(ValueError, match="unsupported classical pattern"):
+                avoids(word, pattern)
     assert avoids((), (2, 3, 1)) and avoids((7,), (3, 2, 1))
-    assert not avoids((2, 5, 1, 4), "2-41-3") and not avoids((3, 1, 4, 2), "3-14-2")
+    assert not is_baxter((2, 5, 1, 4)) and not is_baxter((3, 1, 4, 2))
     with pytest.raises(ValueError, match="nonnegative"):
         avoiders(-1, (2, 3, 1))
     for pattern in ((1, 2), (1, 2, 3, 4), (1, 1, 2), "2-41-3"):
@@ -225,11 +228,17 @@ def test_321_avoiders_are_refused_past_one_byte_per_value():
             avoiders(256, pattern)
 
 
+# each vincular tag with its scan: 3-14-2 is 2-41-3 read backwards
+VINCULAR_SCANS = {"2-41-3": _occurs_2_41_3, "3-14-2": lambda p: _occurs_2_41_3(p[::-1])}
+
+
 @pytest.mark.parametrize("tag", VINCULAR_TAGS)
 def test_vincular_avoidance_matches_position_scan_exhaustively(tag):
+    occurs = VINCULAR_SCANS[tag]
     for n in range(9):
         for p, found in _scanned(_position_scan, n):
-            assert avoids(p, tag) == (tag not in found), (p, tag)
+            assert occurs(p) == (tag in found), (p, tag)
+            assert is_baxter(p) == (not found), p
 
 
 # one input outside each guarded map's domain, with the exact message it raised

@@ -194,6 +194,35 @@ def test_every_system_has_a_passing_reading():
         assert any(outcomes), name
 
 
+# sha256 of the lines "<order> <reading> <equation> <k> <sorted_terms of [t^k](lhs - rhs)>"
+# for orders 0..12 and k = 0..order, so a failing reading is pinned beyond its first failure
+RESIDUAL_DIGESTS = {
+    "lem3.1": "02012f81b002a490a7f909d8e85e2733c2d4119c7f9e470d2f2a1099c3c0fa95",
+    "eq:ee": "5451b4d2a1d4b271fcb5c6db39b9c2cdfb21a44f482c3fb72ae35131157cda05",
+    "eq:eo": "37f582b38141abc3c5fe66a74e1b326127411498a6ce2530b71da59c84d9db1d",
+    "eq:o": "4a4560da1a22488713f1552b7802bbd41ea9675c1f0dd7a35eac9b40143e4a82",
+    "eq:G": "7f88f5ee7255ae0965bd78739f1e836ab448c0a841a37d521ad47d6677830f6d",
+    "eq:LE": "da35497cee8a619d1590776db501d4f88e69e05acaafb9621495debf3b0e0834",
+    "alg:gf1": "68c7603c3db953dcacb736f1eb8dd0217c4c2a96bf66e54202863c700550808f",
+    "alg:gf2": "25dd072b41f1c57ca68f157e7bcbc3258cb85e9351794088bc8092c69dd7f7d7",
+    "thm1.6i": "8f5fdb359dc32b402514b3ccee98e5cf4736e73f3c5af6a7606da77d96e9c1df",
+    "bbs": "9dfc785d869088ed65f9495658ec307e53de2be3d9570465969a0eda29770c05",
+}
+
+
+def test_full_residuals_are_pinned():
+    assert tuple(RESIDUAL_DIGESTS) == residuals.SYSTEMS
+    for name, expected in RESIDUAL_DIGESTS.items():
+        lines = []
+        for order in range(13):
+            for label, equations in residuals.system_readings(name, order):
+                for eq, lhs, rhs in equations:
+                    residual = lhs - rhs
+                    lines.extend(f"{order} {label} {eq} {k} {residual.coefficient(k).sorted_terms()}"
+                                 for k in range(order + 1))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == expected, name
+
+
 def test_mna_distribution_rows_sum_to_catalan():
     rows = families.mna_distribution(8)
     for n, row in rows.items():

@@ -189,7 +189,10 @@ def _v_parse(mu: str, nu: str) -> BinaryTree:
 
 def theta(p: Perm) -> tuple[str, str]:
     """Map a 231-avoider to a dominated walk pair through the greatest-letter tree."""
-    return viennot_v(phi_classic(p))
+    tree = phi_classic(p)
+    # a size-n walk pair has words of n - 1 letters, so the empty pair is size 1's
+    _require(tree is not None, "the empty permutation has no walk pair")
+    return viennot_v(tree)
 
 
 def theta_inv(pair: tuple[str, str]) -> Perm:
@@ -267,6 +270,8 @@ def lin_fu_phi(p: Perm) -> str:
     """Map a 321-avoider to a two-flavored Motzkin path via excedance flags."""
     _require_avoider(p, (3, 2, 1))
     n = len(p)
+    # a size-n path has n - 1 letters, so the empty word is size 1's
+    _require(n > 0, "the empty permutation has no Motzkin path")
     q = inverse(p)
     pos = [1 if p[i - 1] > i else 0 for i in range(1, n + 1)]
     val = [1 if i > q[i - 1] else 0 for i in range(1, n + 1)]
@@ -546,6 +551,8 @@ def gamma(p: Perm) -> tuple[str, str, str]:
     """Map a Baxter permutation to the walk triple of its descent-derived sets."""
     check_permutation(p)
     _require(is_baxter(p), "not a Baxter permutation: {}", p)
+    # a size-n triple has walks of n - 1 letters, so the empty walks are size 1's
+    _require(p, "the empty permutation has no walk triple")
     return _gamma(p)
 
 
@@ -604,6 +611,7 @@ def _gamma_restricted(n: int) -> dict[tuple[str, str], Perm]:
 def gamma_theta(p: Perm) -> Perm:
     """Carry a 231-avoider through the walk-pair map into the walk-triple preimage."""
     _require_avoider(p, (2, 3, 1))
+    _require(p, "the empty permutation has no walk triple")
     _require(len(p) <= GAMMA_THETA_MAX_SIZE,
              "restricted walk-triple lookup covers sizes up to {}, got size {}",
              GAMMA_THETA_MAX_SIZE, len(p))

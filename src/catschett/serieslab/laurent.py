@@ -35,7 +35,13 @@ class LaurentPoly2:
 
     __hash__ = None
 
+    # a zero operand returns the other one: instances are never changed after construction
+
     def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
@@ -45,7 +51,12 @@ class LaurentPoly2:
         return LaurentPoly2({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        return self + (-other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) - c
+        return LaurentPoly2(out)
 
     def __mul__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         out: dict[tuple[int, int], int] = {}

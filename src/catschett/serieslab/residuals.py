@@ -7,7 +7,6 @@ never auto-corrects: every reading is reported with its own residual outcome.
 """
 
 from collections.abc import Mapping
-from functools import cache
 
 from catschett.serieslab import appendix, families
 from catschett.serieslab.laurent import LaurentPoly2
@@ -28,10 +27,11 @@ def load_appendix_coefficients() -> Mapping[str, tuple]:
 
 def coefficient_series(coeffs: Mapping[str, tuple], key: str, order: int) -> TruncatedSeries:
     """One stored coefficient polynomial as a truncated series in t with Laurent coefficients."""
+    # rows are unique per (t, x, y) exponent triple, so each term is stored, not summed
     per_order: dict[int, dict[tuple[int, int], int]] = {}
     for td, xd, yd, c in coeffs[key]:
         if td <= order:
-            per_order.setdefault(td, {})[(xd, yd)] = per_order.setdefault(td, {}).get((xd, yd), 0) + c
+            per_order.setdefault(td, {})[(xd, yd)] = c
     return TruncatedSeries(order, [LaurentPoly2(per_order.get(k)) for k in range(order + 1)])
 
 
@@ -96,55 +96,46 @@ def _functional_readings(name: str, order: int) -> Readings:
     if name == "eq:o":
         ee, eo, oe, oo = _series(order, "EE", "EO", "OE", "OO")
         f = eo.mul_monomial(0, 0, -1) + geo + oo.mul_monomial(0, -2, 1) - geo.mul_monomial(1, -1, 1)
-        o1 = geo.mul_monomial(1, 1, 0)
+        tx = geo.mul_monomial(1, 1, 0)
+        ee_t2y = ee - geo.mul_monomial(2, 0, 1)
+        oo_tx = oo - tx
+        o1 = tx
         o2 = eo.mul_monomial(1, 1, -1)
         o3 = (eo + geo.mul_monomial(0, 0, 1)).mul_monomial(2, 2, -1)
-        o4 = (oo - geo.mul_monomial(1, 1, 0)).mul_monomial(2, 0, 1)
-        o5 = ((eo + geo.mul_monomial(2, 0, 1)) * f).mul_monomial(2, 2, -1)
-        o6 = ((ee - geo.mul_monomial(2, 0, 1)) * (eo + oo)).mul_monomial(2, 2, -2)
-        o7 = ((oo - geo.mul_monomial(1, 1, 0)) * f).mul_monomial(2, 0, 1)
-        o8 = ((oe + geo.mul_monomial(1, 1, 0)) * (eo + oo)).mul_monomial(2, 0, 0)
-        o9 = ((ee - geo.mul_monomial(2, 0, 1) - oe.mul_monomial(1, -1, 1)) * (oo + eo)).mul_monomial(1, 1, -2)
-        o10 = ((eo - (oo - geo.mul_monomial(1, 1, 0)).mul_monomial(1, -1, 1)) * f).mul_monomial(1, 1, -1)
-        return [("literal", [("OO", oo, o1 + o2 + o3 + o4 + o5 + o6 + o7 + o8 + o9 + o10)])]
+        o4 = oo_tx.mul_monomial(2, 0, 1)
+        # o5, o7 and o10 share the factor f, and o6, o8 and o9 share eo + oo: each group
+        # shifts its left factors and multiplies their sum once (the t-shifts are >= 0,
+        # so shifting before the truncated product is exact)
+        by_f = (
+            (eo + geo.mul_monomial(2, 0, 1)).mul_monomial(2, 2, -1)  # o5
+            + oo_tx.mul_monomial(2, 0, 1)  # o7
+            + (eo - oo_tx.mul_monomial(1, -1, 1)).mul_monomial(1, 1, -1)  # o10
+        )
+        by_eo_oo = (
+            ee_t2y.mul_monomial(2, 2, -2)  # o6
+            + (oe + tx).mul_monomial(2, 0, 0)  # o8
+            + (ee_t2y - oe.mul_monomial(1, -1, 1)).mul_monomial(1, 1, -2)  # o9
+        )
+        o5_to_o10 = by_f * f + by_eo_oo * (eo + oo)
+        return [("literal", [("OO", oo, o1 + o2 + o3 + o4 + o5_to_o10)])]
     if name == "eq:LE":
         m, le, lo, e, o = _series(order, "M", "LE", "LO", "E", "O")
-        le_s, lo_s, e_s, o_s = le.swap_xy(), lo.swap_xy(), e.swap_xy(), o.swap_xy()
-        # each product feeds two equations: LE and E, LO and O, and their swapped forms
-        o_le, o_lo = o * (one + le), o * lo
-        o_le_s, o_lo_s = o_s * (one + le_s), o_s * lo_s
+        le_s, lo_s = le.swap_xy(), lo.swap_xy()
+        one_le, one_le_s = one + le, one + le_s
+        # ' marks the x/y swap.  Each product feeds two equations: o(1 + LE) feeds LE and E,
+        # o LO feeds LO and O, e LO' feeds LE and E (whose (1 + e) LO' is LO' + e LO'), and
+        # e(1 + LE') feeds LO and O (whose (1 + e)(1 + LE') is alike)
+        o_le, o_lo, e_lo_s, e_le_s = o * one_le, o * lo, e * lo_s, e * one_le_s
         equations = [
-            ("M=LE+LO", m, le + lo),
-            (
-                "LE",
-                le,
-                o_le.mul_monomial(1, 1, 0) + lo_s.mul_monomial(1, 0, 0) + (e * lo_s).mul_monomial(1, 0, 1),
-            ),
-            (
-                "LO",
-                lo,
-                o_lo.mul_monomial(1, 1, 0)
-                + (one + le_s).mul_monomial(1, 0, 0)
-                + ((one + le_s) * e).mul_monomial(1, 0, 1),
-            ),
-            ("E", e, o_le.mul_monomial(1, 0, 0) + ((one + e) * lo_s).mul_monomial(1, 0, 0)),
-            ("O", o, o_lo.mul_monomial(1, 0, 0) + ((one + e) * (one + le_s)).mul_monomial(1, 0, 0)),
-            (
-                "LE swapped",
-                le_s,
-                o_le_s.mul_monomial(1, 0, 1) + lo.mul_monomial(1, 0, 0) + (e_s * lo).mul_monomial(1, 1, 0),
-            ),
-            (
-                "LO swapped",
-                lo_s,
-                o_lo_s.mul_monomial(1, 0, 1)
-                + (one + le).mul_monomial(1, 0, 0)
-                + ((one + le) * e_s).mul_monomial(1, 1, 0),
-            ),
-            ("E swapped", e_s, o_le_s.mul_monomial(1, 0, 0) + ((one + e_s) * lo).mul_monomial(1, 0, 0)),
-            ("O swapped", o_s, o_lo_s.mul_monomial(1, 0, 0) + ((one + e_s) * (one + le)).mul_monomial(1, 0, 0)),
+            ("LE", le, o_le.mul_monomial(1, 1, 0) + lo_s.mul_monomial(1, 0, 0) + e_lo_s.mul_monomial(1, 0, 1)),
+            ("LO", lo, o_lo.mul_monomial(1, 1, 0) + one_le_s.mul_monomial(1, 0, 0) + e_le_s.mul_monomial(1, 0, 1)),
+            ("E", e, (o_le + lo_s + e_lo_s).mul_monomial(1, 0, 0)),
+            ("O", o, (o_lo + one_le_s + e_le_s).mul_monomial(1, 0, 0)),
         ]
-        return [("literal", equations)]
+        # exchanging x and y is a ring automorphism, so each swapped equation's right
+        # side is the unswapped one's, swapped
+        swapped = [(f"{label} swapped", lhs.swap_xy(), rhs.swap_xy()) for label, lhs, rhs in equations]
+        return [("literal", [("M=LE+LO", m, le + lo)] + equations + swapped)]
     raise ValueError(f"unknown functional system: {name}")
 
 
@@ -164,43 +155,55 @@ def _polynomial_residual(powers: list[TruncatedSeries], coeff_list: list[Truncat
     return acc
 
 
+def _reading_residuals(powers: list[TruncatedSeries], coeff_list: list[TruncatedSeries], k: int,
+                       variants: list[tuple[str, TruncatedSeries]]) -> Readings:
+    """One residual reading per (label, coefficient of series**k); coeff_list leaves slot k out.
+
+    The first reading is evaluated in full.  Each other one differs from it only in
+    c_k, so its residual is the first plus (c_k - first c_k) * series**k, a product
+    with a sparse left factor.
+    """
+    (label, ck), *others = variants
+    first = _polynomial_residual(powers, coeff_list[:k] + [ck] + coeff_list[k:])
+    residuals = [(label, first)]
+    residuals += [(other, first + (other_ck - ck) * powers[k - 1]) for other, other_ck in others]
+    zero = TruncatedSeries.zero(first.order)
+    return [(label, [("residual", res, zero)]) for label, res in residuals]
+
+
 def _algebraic_readings(name: str, order: int) -> Readings:
     coeffs = load_appendix_coefficients()
-    zero = TruncatedSeries.zero(order)
 
-    @cache  # readings of one system share their coefficients
-    def cs(key: str) -> TruncatedSeries:
-        return coefficient_series(coeffs, key, order)
+    def cs(*keys: str) -> list[TruncatedSeries]:
+        return [coefficient_series(coeffs, key, order) for key in keys]
 
     if name == "alg:gf1":
-        powers = _powers(families.series("G", order), 4)
-        readings = []
-        for label, a2key in (("literal", "alg_gf1_a2"), ("alpha2 minus 8t^2xy", "alg_gf1_a2_minus_8t2xy")):
-            coeff_list = [cs("alg_gf1_a0"), cs("alg_gf1_a1"), cs(a2key), cs("alg_gf1_a3"), cs("alg_gf1_a4")]
-            readings.append((label, [("residual", _polynomial_residual(powers, coeff_list), zero)]))
-        return readings
+        return _reading_residuals(
+            _powers(families.series("G", order), 4),
+            cs("alg_gf1_a0", "alg_gf1_a1", "alg_gf1_a3", "alg_gf1_a4"),
+            2,
+            list(zip(("literal", "alpha2 minus 8t^2xy"), cs("alg_gf1_a2", "alg_gf1_a2_minus_8t2xy"))),
+        )
     if name == "thm1.6i":
         powers = _powers(families.series("A", order), 4)
-        coeff_list = [cs("quartic_r0"), cs("quartic_r1"), cs("quartic_r2"), -cs("quartic_r3"), cs("quartic_c4")]
-        return [("literal", [("residual", _polynomial_residual(powers, coeff_list), zero)])]
+        r0, r1, r2, r3, c4 = cs("quartic_r0", "quartic_r1", "quartic_r2", "quartic_r3", "quartic_c4")
+        residual = _polynomial_residual(powers, [r0, r1, r2, -r3, c4])
+        return [("literal", [("residual", residual, TruncatedSeries.zero(order))])]
     if name == "alg:gf2":
-        powers = _powers(families.series("M", order), 6)
-        readings = []
-        for label, b1key in (
-            ("beta1 t^11 (literal)", "alg_gf2_b1_literal"),
-            ("beta1 t^10", "alg_gf2_b1_t10"),
-            ("beta1 t^10 minus x^2t", "alg_gf2_b1_t10_minus_x2t"),
-        ):
-            coeff_list = [cs("alg_gf2_b0"), cs(b1key)] + [cs(f"alg_gf2_b{k}") for k in range(2, 7)]
-            readings.append((label, [("residual", _polynomial_residual(powers, coeff_list), zero)]))
-        return readings
+        return _reading_residuals(
+            _powers(families.series("M", order), 6),
+            cs("alg_gf2_b0", *(f"alg_gf2_b{k}" for k in range(2, 7))),
+            1,
+            list(zip(("beta1 t^11 (literal)", "beta1 t^10", "beta1 t^10 minus x^2t"),
+                     cs("alg_gf2_b1_literal", "alg_gf2_b1_t10", "alg_gf2_b1_t10_minus_x2t"))),
+        )
     if name == "bbs":
-        powers = _powers(families.series("B", order), 2)
-        readings = []
-        for label, linkey in (("2t^2x", "bbs_lin_t2x"), ("2tx", "bbs_lin_tx")):
-            res = _polynomial_residual(powers, [cs("bbs_q0"), cs(linkey), cs("bbs_q2")])
-            readings.append((label, [("residual", res, zero)]))
-        return readings
+        return _reading_residuals(
+            _powers(families.series("B", order), 2),
+            cs("bbs_q0", "bbs_q2"),
+            1,
+            list(zip(("2t^2x", "2tx"), cs("bbs_lin_t2x", "bbs_lin_tx"))),
+        )
     raise ValueError(f"unknown algebraic system: {name}")
 
 

@@ -149,6 +149,13 @@ def test_map_rejects_inadmissible_input(run_cli):
     assert out.returncode == 2
 
 
+def test_map_refuses_the_empty_permutation_without_a_size_0_image(run_cli):
+    out = run_cli("map", "theta", stdin="\n")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "the empty permutation has no walk pair" in out.stderr
+
+
 def test_gamma_lookup_above_its_bound_is_usage_error(run_cli, monkeypatch):
     # refused before the lookup table lists a single permutation
     def listed(n):

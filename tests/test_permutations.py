@@ -12,6 +12,9 @@ from catschett.bijections import (
     eta_inv,
     fz_history,
     fz_history_inv,
+    gamma,
+    lin_fu_phi,
+    phi_cap,
     phi_classic,
     psi_cap,
     psi_cap_inv,
@@ -248,6 +251,10 @@ GUARD_MESSAGES = (
     (phi_classic, (2, 3, 1), "not 231-avoiding: (2, 3, 1)"),
     (theta, (1, 1), "not a permutation of [2]: (1, 1)"),
     (theta_inv, ("EN", "NE"), "not a dominated walk pair: ('EN', 'NE')"),
+    (theta, (), "the empty permutation has no walk pair"),
+    (lin_fu_phi, (), "the empty permutation has no Motzkin path"),
+    (phi_cap, (), "the empty permutation has no Motzkin path"),
+    (gamma, (), "the empty permutation has no walk triple"),
     (psi_kratt, (3, 2, 1), "not 321-avoiding: (3, 2, 1)"),
     (psi_kratt_inv, "NE", "not a Dyck path: 'NE'"),
     (eta, (2, 2, 1), "not a permutation of [3]: (2, 2, 1)"),

@@ -169,6 +169,9 @@ def test_appendix_coefficients_are_pinned():
     payload = json.dumps({key: [list(row) for row in rows] for key, rows in coeffs.items()},
                          sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(payload.encode()).hexdigest() == APPENDIX_DIGEST
+    # coefficient_series stores each row's term without summing
+    for key, rows in coeffs.items():
+        assert len({row[:3] for row in rows}) == len(rows), key
     # expanded once per process and shared read-only
     assert residuals.load_appendix_coefficients() is coeffs
     with pytest.raises(TypeError):
@@ -294,6 +297,15 @@ def test_ring_matches_counter_oracle(pair):
     assert_terms(lp - lp, {})
     assert_terms(-lp, {k: -c for k, c in p.items()})
     assert_terms(lp * lq, oracle_product(p, q))
+    # a zero operand: sums and differences return the nonzero operand's terms
+    zero = LaurentPoly2.zero()
+    assert_terms(lp + zero, p)
+    assert_terms(zero + lp, p)
+    assert_terms(lp - zero, p)
+    assert_terms(zero - lp, {k: -c for k, c in p.items()})
+    assert_terms(zero - zero, {})
+    assert_terms(lp * zero, {})
+    assert_terms(zero * lp, {})
 
 
 @given(term_dicts, exponents, exponents)

@@ -9,7 +9,8 @@ class LaurentPoly2:
     """Immutable map from (x exponent, y exponent) to a nonzero integer coefficient.
 
     Every instance is built inside the program from int-keyed int terms, so the
-    constructor only drops zero coefficients.
+    constructor only drops zero coefficients.  No instance is changed after
+    construction, so adding or subtracting zero returns the other operand itself.
     """
 
     __slots__ = ("terms",)
@@ -34,8 +35,6 @@ class LaurentPoly2:
         return self.terms == other.terms
 
     __hash__ = None
-
-    # a zero operand returns the other one: instances are never changed after construction
 
     def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         if not other.terms:

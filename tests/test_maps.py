@@ -15,9 +15,9 @@ ALIASES = ("υ", "θ", "τ", "ψ", "φ", "ς", "Φ", "η", "ψfz", "Ψ", "ϑ", "
 def test_registered_map_round_trips_through_text(name):
     tmap = maps.transport_maps()[name]
     # size 0: the map round-trips its domain or refuses every object in it
-    empty = list(tmap.domain(0))
+    size0 = list(tmap.domain(0))
     refused = []
-    for x in empty:
+    for x in size0:
         try:
             y = tmap.forward(x)
         except ValueError:
@@ -25,7 +25,7 @@ def test_registered_map_round_trips_through_text(name):
             continue
         assert tmap.parse_image(tmap.render_image(y)) == y
         assert tmap.inverse(y) == x
-    assert refused in ([], empty), name
+    assert refused in ([], size0), name
     for n in range(1, 6):
         domain = list(tmap.domain(n))
         assert domain, (name, n)

@@ -14,9 +14,9 @@ from catschett.objects.paths import (
 )
 from catschett.objects.permutations import (
     Perm,
-    all_permutations,
     avoiders,
     avoids,
+    baxter_permutations,
     check_permutation,
     inverse,
     is_baxter,
@@ -571,16 +571,16 @@ GAMMA_INV_MAX_SIZE = 9
 GAMMA_THETA_MAX_SIZE = 12
 
 
-# The tables below hold only Baxter permutations (231-avoiders are Baxter), so
-# they run the unguarded core.
+# One walk-triple table per family and size.  The families hold only Baxter
+# permutations (231-avoiders are Baxter), so the table runs the unguarded core.
 
-@lru_cache(maxsize=1)
-def _gamma_by_triple(n: int) -> dict[tuple[str, str, str], Perm]:
-    table: dict[tuple[str, str, str], Perm] = {}
-    for p in all_permutations(n):
-        if is_baxter(p):
-            table[_gamma(p)] = p
-    return table
+def _avoiders_231(n: int):
+    return avoiders(n, (2, 3, 1))
+
+
+@lru_cache(maxsize=2)
+def _gamma_table(family, n: int) -> dict[tuple[str, str, str], Perm]:
+    return {_gamma(p): p for p in family(n)}
 
 
 def gamma_inv(triple: tuple[str, str, str]) -> Perm:
@@ -590,22 +590,10 @@ def gamma_inv(triple: tuple[str, str, str]) -> Perm:
     n = len(middle) + 1
     _require(n <= GAMMA_INV_MAX_SIZE, "walk-triple lookup covers sizes up to {}, got size {}",
              GAMMA_INV_MAX_SIZE, n)
-    table = _gamma_by_triple(n)
+    table = _gamma_table(baxter_permutations, n)
     key = (top, middle, bottom)
     _require(key in table, "not in the walk-triple image: {}", triple)
     return table[key]
-
-
-@lru_cache(maxsize=1)
-def _gamma_restricted(n: int) -> dict[tuple[str, str], Perm]:
-    # over 231-avoiders the bottom walk repeats the middle one
-    table: dict[tuple[str, str], Perm] = {}
-    for p in avoiders(n, (2, 3, 1)):
-        top, middle, bottom = _gamma(p)
-        if middle != bottom:
-            raise AssertionError(f"bottom differs from middle on a 231-avoider: {p}")
-        table[(top, middle)] = p
-    return table
 
 
 def gamma_theta(p: Perm) -> Perm:
@@ -616,7 +604,9 @@ def gamma_theta(p: Perm) -> Perm:
              "restricted walk-triple lookup covers sizes up to {}, got size {}",
              GAMMA_THETA_MAX_SIZE, len(p))
     mu, nu = viennot_v(_phi_classic(p))  # theta, guarded above
-    table = _gamma_restricted(len(p))
-    key = (mu, nu)
+    # over 231-avoiders the bottom walk repeats the middle one, so an avoider
+    # whose bottom walk differed could never be returned
+    table = _gamma_table(_avoiders_231, len(p))
+    key = (mu, nu, nu)
     _require(key in table, "walk pair escapes the restricted image: {}", p)
     return table[key]

@@ -193,6 +193,7 @@ def _check_thm12ii(params: dict) -> str:
 
 def _check_thm13(params: dict) -> str:
     nmax = params["n"]
+    stat_table("mndmna231", nmax)  # the largest size first: one counting pass fills the rest
     for n in range(nmax + 1):
         lhs: dict[tuple[int, int], int] = {}
         for p in avoiders(n, (2, 3, 1)):
@@ -410,6 +411,8 @@ _FROZEN_POLYNOMIALS = {
 
 def _check_schett_routes(params: dict) -> str:
     nmax = params["n"]
+    stat_table("mndmna231", nmax)  # the largest size first: one counting pass fills the rest
+    stat_table("mnemnw321", nmax)
     for n in range(nmax + 1):
         polys = {route: catalan_schett(n, route) for route in ROUTES}
         for route, other in polys.items():
@@ -484,9 +487,9 @@ def run_check(name: str, n: int | None = None, order: int | None = None,
     """Run one named check with optional size/order overrides and report its verdict.
 
     A body returns its PASS detail (a series body also its readings) or raises
-    Failed; a body that returns anything else fails.  An override the check
-    takes must lie in 1..enumeration_bound, and ``jobs`` must be at least 1,
-    else ValueError.
+    Failed; a body that returns anything else, or raises any other exception,
+    fails.  An override the check takes must lie in 1..enumeration_bound, and
+    ``jobs`` must be at least 1, else ValueError.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -504,6 +507,9 @@ def run_check(name: str, n: int | None = None, order: int | None = None,
     except Failed as failure:
         result = CheckResult(name, params, False, failure.detail, failure.counterexample,
                              failure.first_failure, failure.readings)
+    except Exception as exc:  # a body that raises did not finish its work, so it failed
+        result = CheckResult(name, params, False,
+                             f"check body raised {type(exc).__name__}: {exc}")
     else:
         match verdict:
             case str():

@@ -6,6 +6,8 @@ import math
 from itertools import permutations as _permutations
 from typing import Iterable, Iterator
 
+from catschett.objects.trees import catalan_family
+
 Perm = tuple[int, ...]
 
 def catalan(n: int) -> int:
@@ -157,22 +159,10 @@ def _avoiders_231(n: int) -> Iterator[Perm]:
     """231-avoiders of [n] by the first-letter split p = (k . p1) directsum p2.
 
     p1 avoids 231 on [k-1] and p2 on [n-k]; ordering by k, then p1, then p2 is
-    lexicographic.
+    lexicographic.  p2's values are raised by k once per k.
     """
-    levels: list[list[Perm]] = [[()]]
-    for m in range(1, n):
-        levels.append(list(_first_letter_joins(levels, m)))
-    return _first_letter_joins(levels, n)
-
-
-def _first_letter_joins(levels: list[list[Perm]], m: int) -> Iterator[Perm]:
-    if m == 0:
-        yield ()
-    for k in range(1, m + 1):
-        highs = [tuple([v + k for v in p2]) for p2 in levels[m - k]]
-        for p1 in levels[k - 1]:
-            for p2 in highs:
-                yield (k, *p1, *p2)
+    return catalan_family(n, (), lambda k, p1, p2: (k, *p1, *p2),
+                          lift=lambda k, p2: tuple([v + k for v in p2]))
 
 
 def _avoiders_321(n: int) -> Iterator[Perm]:

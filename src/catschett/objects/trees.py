@@ -11,29 +11,39 @@ BinaryTree = Optional[tuple]
 PlaneTree = tuple
 
 
-def binary_trees(n: int) -> Iterator[BinaryTree]:
-    """Generate all binary trees with n nodes by the Catalan recurrence.
+def catalan_family(n: int, empty, join, lift=None) -> Iterator:
+    """Generate the size-n objects of a Catalan family by its level recurrence.
 
-    A tree is a root over a left subtree of k nodes and a right one of n - 1 - k,
-    ordered by k, then left, then right.  The sizes below n are built bottom-up
-    and shared as subtrees; size n is streamed.
+    An object of size m >= 1 is ``join(k, a, b)`` for k in 1..m, where a has size
+    k - 1 and b has size m - k, ordered by k, then a, then b; ``lift(k, b)``, when
+    given, rewrites each b once per k before it is joined.  Size 0 is ``empty``
+    alone.  The sizes below n are built bottom-up and shared; size n is streamed.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    levels: list[list[BinaryTree]] = [[None]]
+    levels = [[empty]]
     for m in range(1, n):
-        levels.append(list(_rooted_pairs(levels, m)))
-    return _rooted_pairs(levels, n)
+        levels.append(list(_level(levels, m, join, lift)))
+    return _level(levels, n, join, lift)
 
 
-def _rooted_pairs(levels: list[list[BinaryTree]], m: int) -> Iterator[BinaryTree]:
+def _level(levels: list[list], m: int, join, lift) -> Iterator:
     if m == 0:
-        yield None
-    for k in range(m):
-        rights = levels[m - 1 - k]
-        for left in levels[k]:
-            for right in rights:
-                yield (left, right)
+        yield levels[0][0]
+    for k in range(1, m + 1):
+        bs = levels[m - k] if lift is None else [lift(k, b) for b in levels[m - k]]
+        for a in levels[k - 1]:
+            for b in bs:
+                yield join(k, a, b)
+
+
+def binary_trees(n: int) -> Iterator[BinaryTree]:
+    """Generate all binary trees with n nodes by the Catalan recurrence.
+
+    A tree is a root over a left subtree of k - 1 nodes and a right one of n - k,
+    ordered by k, then left, then right.
+    """
+    return catalan_family(n, None, lambda k, left, right: (left, right))
 
 
 def serialize_binary_tree(t: BinaryTree) -> str:
@@ -118,25 +128,9 @@ def plane_trees(n: int) -> Iterator[PlaneTree]:
     """Generate all plane trees with n edges by the first-subtree recurrence.
 
     A tree is its first subtree, of k - 1 edges, followed by the other children
-    of the root, a tree of n - k edges, ordered by k, then first, then rest.  The
-    sizes below n are built bottom-up and shared as subtrees; size n is streamed.
+    of the root, a tree of n - k edges, ordered by k, then first, then rest.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    levels: list[list[PlaneTree]] = [[()]]
-    for m in range(1, n):
-        levels.append(list(_first_subtree_joins(levels, m)))
-    return _first_subtree_joins(levels, n)
-
-
-def _first_subtree_joins(levels: list[list[PlaneTree]], m: int) -> Iterator[PlaneTree]:
-    if m == 0:
-        yield ()
-    for k in range(1, m + 1):
-        rests = levels[m - k]
-        for first in levels[k - 1]:
-            for rest in rests:
-                yield (first, *rest)
+    return catalan_family(n, (), lambda k, first, rest: (first, *rest))
 
 
 def plane_node_count(t: PlaneTree) -> int:

@@ -114,6 +114,25 @@ def test_table_checks_count_each_kind_once(monkeypatch, name, kinds):
     assert sorted(passes) == sorted(kinds)
 
 
+@pytest.mark.parametrize("name", list(checks._CHECKS))
+def test_every_check_counts_each_kind_at_most_once(monkeypatch, name):
+    # from a cold cache, a check that reads several sizes of a kind asks for the
+    # largest first, so one counting pass fills every size it reads
+    passes = []
+
+    def counted(kind, count):
+        def count_pass(n):
+            passes.append(kind)
+            return count(n)
+        return count_pass
+
+    monkeypatch.setattr(kernels, "_TABLES", {})
+    for kind, count in list(kernels._COUNTED.items()):
+        monkeypatch.setitem(kernels._COUNTED, kind, counted(kind, count))
+    assert checks.run_check(name).passed
+    assert len(passes) == len(set(passes)), passes
+
+
 def test_series_report_names_passing_reading():
     result = checks.run_check("eq:eo", order=9)
     assert "terminal-parity variant (EO+OO)" in result.detail

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from catschett import bijections, checks, cli, config
+from catschett import bijections, checks, cli, config, maps
 from catschett.objects.permutations import catalan
 
 CLI = [sys.executable, "-m", "catschett.cli"]
@@ -159,11 +159,11 @@ def test_map_refuses_the_empty_permutation_without_a_size_0_image(run_cli):
 def test_gamma_lookup_above_its_bound_is_usage_error(run_cli, monkeypatch):
     # refused before the lookup table lists a single permutation
     def listed(n):
-        raise AssertionError(f"all_permutations({n}) called")
+        raise AssertionError(f"baxter_permutations({n}) called")
 
     size = bijections.GAMMA_INV_MAX_SIZE + 1
     triple = "|".join(bijections.gamma(tuple(range(1, size + 1))))
-    monkeypatch.setattr(bijections, "all_permutations", listed)
+    monkeypatch.setattr(bijections, "baxter_permutations", listed)
     out = run_cli("map", "gamma", "--dir", "inv", stdin=triple + "\n")
     assert out.returncode == 2
     assert out.stdout == ""
@@ -257,6 +257,26 @@ def test_verify_body_returning_no_verdict_fails(run_cli, monkeypatch):
     assert out.returncode == 1
     assert out.stdout.startswith(
         "FAIL lem2.2 (n=9): check body returned CheckResult, not a verdict [")
+
+
+def test_verify_body_that_raises_fails(run_cli, monkeypatch):
+    # a map writing outside its codomain makes the check body raise: that is a
+    # FAIL of that check (exit 1), not a usage error, and "all" runs the rest
+    def off_path(p):
+        return "NENNEN" if p == (2, 1, 3) else psi_kratt(p)
+
+    psi_kratt = maps.psi_kratt
+    monkeypatch.setattr(maps, "psi_kratt", off_path)
+    out = run_cli("verify", "lem2.10", "--n", "4")
+    assert out.returncode == 1
+    assert out.stdout.startswith(
+        "FAIL lem2.10 (n=4): check body raised ValueError: not a Dyck path: 'NENNEN' [")
+    assert out.stderr == ""
+    out = run_cli("verify", "all", "--n", "3", "--order", "3")
+    lines = out.stdout.splitlines()
+    assert out.returncode == 1
+    assert lines[0].startswith("FAIL all: failing checks: lem2.10 [")
+    assert sum(line.startswith("  PASS ") for line in lines) == len(checks._CHECKS) - 1
 
 
 # the same failure through the real entry point: ``python -m catschett.cli`` after the patch

@@ -9,8 +9,6 @@ from catschett.objects.paths import (
     is_laguerre_history,
     is_motzkin2_path,
     is_walk_pair,
-    laguerre_weight_caps,
-    walk_from_positions,
 )
 from catschett.objects.permutations import (
     Perm,
@@ -22,11 +20,6 @@ from catschett.objects.permutations import (
     is_baxter,
 )
 from catschett.objects.trees import BinaryTree, PlaneTree
-from catschett.statistics import (
-    descent_bottoms,
-    descent_set,
-    modified_descent_tops,
-)
 
 
 def _require(condition: bool, template: str, *args) -> None:
@@ -36,9 +29,41 @@ def _require(condition: bool, template: str, *args) -> None:
 
 
 def _require_avoider(p: Perm, pattern: tuple[int, ...]) -> None:
+    # a 321-avoider is accepted in one scan; other patterns, and every
+    # refusal, go through check_permutation and avoids
+    if pattern == (3, 2, 1) and _scans_as_321_avoider(p):
+        return
     check_permutation(p)
     if not avoids(p, pattern):
         raise ValueError(f"not {''.join(map(str, pattern))}-avoiding: {p}")
+
+
+def _scans_as_321_avoider(p) -> bool:
+    """Test in one pass that ``p`` is a 321-avoiding permutation of [n].
+
+    Each entry must be a new maximum at most n or the least value not yet
+    placed; the entries that are not maxima then increase.  False, also for an
+    entry the scan cannot read, leaves the verdict and its wording to the
+    two-pass test.
+    """
+    try:
+        n = len(p)
+        placed = [False] * (n + 2)
+        high = 0
+        low = 1
+        for v in p:
+            if v > high:
+                if v > n:
+                    return False
+                high = v
+            elif v != low:
+                return False
+            placed[v] = True
+            while placed[low]:
+                low += 1
+    except (TypeError, IndexError):
+        return False
+    return True
 
 
 # ---------- 231-avoiders and binary trees, run-transporting ----------
@@ -204,9 +229,20 @@ def theta_inv(pair: tuple[str, str]) -> Perm:
 
 def tau(t: BinaryTree) -> str:
     """Map a binary tree to a Dyck path by east-left-north-right reading."""
-    if t is None:
-        return ""
-    return "E" + tau(t[0]) + "N" + tau(t[1])
+    # a node writes E and goes left, keeping its right child; a None writes the
+    # N of the nearest node still open and goes to that node's right child
+    word: list[str] = []
+    rights: list[BinaryTree] = []
+    while True:
+        if t is not None:
+            word.append("E")
+            rights.append(t[1])
+            t = t[0]
+        elif rights:
+            word.append("N")
+            t = rights.pop()
+        else:
+            return "".join(word)
 
 
 def tau_inv(word: str) -> BinaryTree:
@@ -286,29 +322,22 @@ def lin_fu_phi_inv(word: str) -> Perm:
 
 
 def _lin_fu_phi_inv(word: str) -> Perm:
-    n = len(word) + 1
-    pos = [0] * (n + 1)
-    val = [0] * (n + 1)
-    for i, ch in enumerate(word, start=1):
-        pos[i] = 1 if ch in "UT" else 0
-        val[i + 1] = 1 if ch in "TD" else 0
-    exc_positions = [i for i in range(1, n + 1) if pos[i]]
-    exc_values = [i for i in range(1, n + 1) if val[i]]
+    # Letter i flags position i as an excedance (U, T) and value i + 1 as an
+    # excedance value (T, D); the flagged positions take the flagged values in
+    # increasing order, and the other positions the other values.
     # Neither output guard below fires on a valid word; both stay as guards.  A Motzkin
     # path has as many U as D steps, so the U/T slot flags balance the T/D value flags;
     # and the flagged and unflagged slots each take their values increasingly, so p
     # merges two increasing sequences and holds no 321.
-    _require(len(exc_positions) == len(exc_values), "unbalanced flags: {!r}", word)
-    p = [0] * n
-    for i, v in zip(exc_positions, exc_values):
-        p[i - 1] = v
-    rest_positions = [i for i in range(1, n + 1) if not pos[i]]
-    rest_values = [v for v in range(1, n + 1) if not val[v]]
-    for i, v in zip(rest_positions, rest_values):
-        p[i - 1] = v
-    result = check_permutation(p)
-    _require(avoids(result, (3, 2, 1)), "flags do not code a 321-avoider: {!r}", word)
-    return result
+    _require(word.count("U") == word.count("D"), "unbalanced flags: {!r}", word)
+    exc_values = iter([v for v, ch in enumerate(word, start=2) if ch in "TD"])
+    rest_values = iter([1] + [v for v, ch in enumerate(word, start=2) if ch not in "TD"])
+    p = [next(exc_values) if ch in "UT" else next(rest_values) for ch in word]
+    p.append(next(rest_values))  # position n is never an excedance
+    if not _scans_as_321_avoider(p):
+        _require(avoids(check_permutation(p), (3, 2, 1)),
+                 "flags do not code a 321-avoider: {!r}", word)
+    return tuple(p)
 
 
 _PAIR_FROM_LETTER = {"U": ("N", "E"), "D": ("E", "N"), "H": ("N", "N"), "T": ("E", "E")}
@@ -361,26 +390,26 @@ def eta_inv(p: Perm) -> Perm:
 
 
 def _simion_schmidt(p: Perm, pick_largest: bool) -> Perm:
-    n = len(p)
-    used = [False] * (n + 1)
-    out = list(p)  # left-to-right maxima keep their places
-    rest = []  # (position, running maximum) of every other entry
+    # Left-to-right maxima keep their places; every other entry takes the largest
+    # (or smallest) value below the running maximum not yet taken.  The values
+    # between two successive maxima are never maxima, so they join the free values
+    # when the second maximum is read, and the free values form a stack (largest
+    # first) or a queue (smallest first).
+    out = list(p)
+    free: list[int] = []
+    head = 0  # the queue's front; the stack pops from the back and keeps it at 0
     cur_max = 0
     for i, v in enumerate(p):
         if v > cur_max:
+            free += range(cur_max + 1, v)
             cur_max = v
-            used[v] = True
+        elif head == len(free):
+            raise ValueError(f"no available value below {cur_max} at position {i + 1}")
+        elif pick_largest:
+            out[i] = free.pop()
         else:
-            rest.append((i, cur_max))
-    for i, running_max in rest:
-        choices = range(running_max - 1, 0, -1) if pick_largest else range(1, running_max)
-        for c in choices:
-            if not used[c]:
-                out[i] = c
-                used[c] = True
-                break
-        else:
-            raise ValueError(f"no available value below {running_max} at position {i + 1}")
+            out[i] = free[head]
+            head += 1
     return check_permutation(out)
 
 
@@ -448,9 +477,13 @@ def _slot_insert(word: str, weights: tuple[int, ...]) -> Perm:
 
 
 # The composites below guard their own input and chain the cores: eta carries
-# 321-avoiders onto 312-avoiders, and psi_fz_inv writes 312-avoiders.  The
-# weights each core builds are a history's caps or zeros, so slot insertion
-# takes them unscanned; every built permutation is still checked.
+# 321-avoiders onto 312-avoiders, and psi_fz_inv writes 312-avoiders.  Every
+# built permutation is still checked.
+#
+# The history of a 312-avoider has every weight 0, and that of a 231-avoider has
+# every weight at its cap, so both cores insert slots without weights.  Value i
+# is classified by its framed neighbours as in _fz_history: U (both larger),
+# D (both smaller), H (rising through i) or T (falling through i).
 
 def psi_fz(p: Perm) -> Perm:
     """Map a 312-avoider to the 231-avoider with the same valley-peak word."""
@@ -459,9 +492,25 @@ def psi_fz(p: Perm) -> Perm:
 
 
 def _psi_fz(p: Perm) -> Perm:
-    word, weights = _fz_history(p)
-    _require(not any(weights), "unexpected nesting weights: {}", p)
-    return _slot_insert(word, laguerre_weight_caps(word))
+    # Slot insertion at the caps fills only the last slot but one, so the last
+    # slot stays empty and the open slots sit between a stack of blocks: U pushes
+    # [i], H appends i to the top block, T puts i in front of it, and D pops the
+    # top and appends i, then the popped block, to the new top.
+    framed = (0, *p, len(p) + 1)
+    blocks: list[list[int]] = [[]]
+    for i, j in enumerate(inverse(p), start=1):
+        if framed[j - 1] > i:
+            if framed[j + 1] > i:  # U
+                blocks.append([i])
+            else:  # T
+                blocks[-1].insert(0, i)
+        elif framed[j + 1] > i:  # H
+            blocks[-1].append(i)
+        else:  # D
+            top = blocks.pop()
+            blocks[-1].append(i)
+            blocks[-1] += top
+    return check_permutation(blocks[0])
 
 
 def psi_fz_inv(p: Perm) -> Perm:
@@ -471,9 +520,24 @@ def psi_fz_inv(p: Perm) -> Perm:
 
 
 def _psi_fz_inv(p: Perm) -> Perm:
-    word, weights = _fz_history(p)
-    _require(weights == laguerre_weight_caps(word), "unexpected nesting weights: {}", p)
-    return _slot_insert(word, (0,) * len(word))
+    # Slot insertion at weight 0 fills only the first slot, so the letters form a
+    # head list and a stack of blocks, each held reversed: U pushes [i], T puts i
+    # in front of the top block, H appends i to the head, and D appends i, then
+    # the popped top block, to the head.
+    framed = (0, *p, len(p) + 1)
+    head: list[int] = []
+    blocks: list[list[int]] = []
+    for i, j in enumerate(inverse(p), start=1):
+        if framed[j - 1] > i:
+            if framed[j + 1] > i:  # U
+                blocks.append([i])
+            else:  # T
+                blocks[-1].append(i)
+        else:
+            head.append(i)
+            if framed[j + 1] < i:  # D
+                head += reversed(blocks.pop())
+    return check_permutation(head)
 
 
 def psi_cap(p: Perm) -> Perm:
@@ -557,12 +621,21 @@ def gamma(p: Perm) -> tuple[str, str, str]:
 
 
 def _gamma(p: Perm) -> tuple[str, str, str]:
+    # east steps: the middle walk at DES(p); with q = p^-1, the top walk at
+    # q_i - 1 and the bottom walk at q_{i+1} over the descents i of q
     n = len(p)
     q = inverse(p)
-    top = walk_from_positions(modified_descent_tops(q), n - 1)
-    middle = walk_from_positions(descent_set(p), n - 1)
-    bottom = walk_from_positions(descent_bottoms(q), n - 1)
-    return top, middle, bottom
+    top = ["N"] * (n - 1)
+    middle = top[:]
+    bottom = top[:]
+    for i in range(n - 1):
+        if p[i] > p[i + 1]:
+            middle[i] = "E"
+        a, b = q[i], q[i + 1]
+        if a > b:
+            top[a - 2] = "E"
+            bottom[b - 1] = "E"
+    return "".join(top), "".join(middle), "".join(bottom)
 
 
 # The largest sizes the walk-triple lookups cover: gamma_inv's table filters all n!

@@ -93,15 +93,6 @@ def ascending_step_runs(word: str) -> tuple[int, ...]:
     return tuple(runs)
 
 
-def walk_from_positions(positions, m: int) -> str:
-    """Length-m east/north word with east steps exactly at the given 1-based positions."""
-    pos = set(positions)
-    bad = [i for i in pos if not 1 <= i <= m]
-    if bad:
-        raise ValueError(f"positions out of range 1..{m}: {sorted(bad)}")
-    return "".join("E" if i in pos else "N" for i in range(1, m + 1))
-
-
 def hor_set(walk: str) -> frozenset[int]:
     """1-based positions of east steps."""
     return frozenset(i for i, ch in enumerate(walk, start=1) if ch == "E")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import gt, lt, sub
+
 from catschett.objects.paths import (
     ascending_step_runs,
     dyck_composition,
@@ -21,23 +24,22 @@ from catschett.objects.trees import (
 
 def descent_set(p: Perm) -> frozenset[int]:
     """Positions i with p_i > p_{i+1}."""
-    return frozenset(i for i in range(1, len(p)) if p[i - 1] > p[i])
+    return frozenset(compress(count(1), map(gt, p, p[1:])))
 
 
 def ascent_set(p: Perm) -> frozenset[int]:
     """Positions i with p_i < p_{i+1}."""
-    return frozenset(i for i in range(1, len(p)) if p[i - 1] < p[i])
+    return frozenset(compress(count(1), map(lt, p, p[1:])))
 
 
 def gap_multiset(positions, n: int) -> tuple[int, ...]:
     """Successive gaps of a subset of [n-1] against 0 and n, sorted descending."""
     s = sorted(positions)
-    if any(not 1 <= i <= n - 1 for i in s):
+    if s and not 1 <= s[0] <= s[-1] <= n - 1:
         raise ValueError(f"positions must lie in [1, {n - 1}]: {s}")
     if n == 0:
         return ()
-    parts = [b - a for a, b in zip([0] + s, s + [n])]
-    return tuple(sorted(parts, reverse=True))
+    return tuple(sorted(map(sub, s + [n], [0] + s), reverse=True))
 
 
 def descending_run_multiset(p: Perm) -> tuple[int, ...]:
@@ -173,7 +175,7 @@ def mnw(p: Perm) -> int:
 
 def descent_bottoms(p: Perm) -> frozenset[int]:
     """Values p_{i+1} over descents i."""
-    return frozenset(p[i] for i in range(1, len(p)) if p[i - 1] > p[i])
+    return frozenset(compress(p[1:], map(gt, p, p[1:])))
 
 
 def modified_descent_tops(p: Perm) -> frozenset[int]:
@@ -234,16 +236,14 @@ def tree_chain_profile(t: BinaryTree) -> dict:
 
 def mark_count(t: PlaneTree) -> int:
     """Number of non-root internal nodes with at least one leaf child."""
-
-    def walk(node: PlaneTree, is_root: bool) -> int:
-        total = 0
-        if node and not is_root and any(c == () for c in node):
-            total += 1
-        for c in node:
-            total += walk(c, False)
-        return total
-
-    return walk(t, True)
+    marks = 0
+    below = list(t)  # the non-root nodes not yet visited
+    while below:
+        node = below.pop()
+        if node:
+            marks += () in node
+            below += node
+    return marks
 
 
 def dyck_profile(word: str) -> dict:

@@ -1,4 +1,4 @@
-"""Brute-force pattern oracles and small helpers shared by the tests."""
+"""Brute-force pattern oracles, definitions of fast statistics, and small helpers shared by the tests."""
 
 from itertools import combinations
 
@@ -54,3 +54,45 @@ def contains_vincular(word, tags, rank=standardize) -> frozenset:
                     if len(seen) == len(wanted):
                         return frozenset(seen)
     return frozenset(seen)
+
+
+# ---------- statistic sets and gamma's walks by definition ----------
+
+def descent_set(p) -> frozenset[int]:
+    """Positions i with p_i > p_{i+1}."""
+    return frozenset(i for i in range(1, len(p)) if p[i - 1] > p[i])
+
+
+def ascent_set(p) -> frozenset[int]:
+    """Positions i with p_i < p_{i+1}."""
+    return frozenset(i for i in range(1, len(p)) if p[i - 1] < p[i])
+
+
+def descent_bottoms(p) -> frozenset[int]:
+    """Values p_{i+1} over descents i."""
+    return frozenset(p[i] for i in range(1, len(p)) if p[i - 1] > p[i])
+
+
+def modified_descent_tops(p) -> frozenset[int]:
+    """Values p_i - 1 over descents i."""
+    return frozenset(p[i - 1] - 1 for i in range(1, len(p)) if p[i - 1] > p[i])
+
+
+def walk_from_positions(positions, m: int) -> str:
+    """Length-m east/north word with east steps exactly at the given 1-based positions."""
+    pos = set(positions)
+    bad = [i for i in pos if not 1 <= i <= m]
+    if bad:
+        raise ValueError(f"positions out of range 1..{m}: {sorted(bad)}")
+    return "".join("E" if i in pos else "N" for i in range(1, m + 1))
+
+
+def gamma_walks(p) -> tuple[str, str, str]:
+    """gamma's walk triple: east steps at MDT(q), DES(p) and DB(q), where q = p^-1."""
+    n = len(p)
+    q = [0] * n
+    for i, v in enumerate(p, start=1):
+        q[v - 1] = i
+    return (walk_from_positions(modified_descent_tops(q), n - 1),
+            walk_from_positions(descent_set(p), n - 1),
+            walk_from_positions(descent_bottoms(q), n - 1))

@@ -73,7 +73,7 @@ from catschett.objects.trees import (
     serialize_plane_tree,
 )
 from catschett.statistics import ascent_set, descent_set, left_peak_values
-from oracles import identity
+from oracles import gamma_walks, identity
 
 FIG_PERM_231 = (1, 4, 3, 2, 9, 5, 7, 6, 8)
 FIG_PERM_321 = (2, 4, 5, 1, 3, 6, 8, 7, 9)
@@ -137,6 +137,15 @@ def test_tau_round_trip_and_platform_transport():
             w = tau(t)
             assert tau_inv(w) == t
             assert sorted(left_chain_orders(t)) == sorted(platform_multiset(w))
+
+
+def test_tau_reads_deep_combs():
+    n = 3000
+    left = right = None
+    for _ in range(n):
+        left, right = (left, None), (None, right)
+    assert tau(left) == "E" * n + "N" * n
+    assert tau(right) == "EN" * n
 
 
 def test_psi_kratt_frozen_image():
@@ -247,6 +256,15 @@ def test_gamma_injective_small():
         assert len(set(triples)) == len(triples)
         for b in baxter_permutations(n):
             assert gamma_inv(gamma(b)) == b
+
+
+def test_gamma_writes_its_walks_by_definition():
+    for n in range(1, 8):
+        for p in baxter_permutations(n):
+            assert bijections._gamma(p) == gamma_walks(p), p
+    for n in range(1, 9):
+        for p in avoiders(n, (2, 3, 1)):
+            assert bijections._gamma(p) == gamma_walks(p), p
 
 
 def test_gamma_rejects_non_baxter():
@@ -518,14 +536,16 @@ def _counting(monkeypatch, name):
 
 def test_composites_validate_their_input_once(monkeypatch):
     avoid_calls = _counting(monkeypatch, "avoids")
+    scans_321 = _counting(monkeypatch, "_scans_as_321_avoider")
     motzkin_scans = _counting(monkeypatch, "is_motzkin2_path")
     history_scans = _counting(monkeypatch, "is_laguerre_history")
     p321, p231 = FIG_PERM_321, psi_cap(FIG_PERM_321)
     gamma_theta(FIG_PERM_231)  # fills the restricted-image table, which calls no guard
     for f, x in ((psi_cap, p321), (psi_cap_inv, p231), (gamma_theta, FIG_PERM_231)):
         avoid_calls.clear()
+        scans_321.clear()
         f(x)
-        assert len(avoid_calls) == 1, f.__name__
+        assert len(avoid_calls) + len(scans_321) == 1, f.__name__
     pair = phi_cap(FIG_PERM_EXC)
     motzkin_scans.clear()
     assert phi_cap_inv(pair) == FIG_PERM_EXC
@@ -535,3 +555,31 @@ def test_composites_validate_their_input_once(monkeypatch):
     assert psi_fz_inv(psi_fz(p312)) == p312
     assert psi_cap_inv(psi_cap(p321)) == p321
     assert history_scans == []
+
+
+# ---------- the one-scan 321 guard ----------
+
+def _is_avoiding_permutation(word, pattern):
+    # the two-pass test the guard falls back on
+    try:
+        check_permutation(word)
+    except ValueError:
+        return False
+    return avoids(word, pattern)
+
+
+def test_one_scan_321_guard_matches_the_two_pass_test():
+    words = (*(p for n in range(9) for p in all_permutations(n)),
+             *(w for m in range(6) for w in product(range(m + 2), repeat=m)))
+    for word in words:
+        assert bijections._scans_as_321_avoider(word) == _is_avoiding_permutation(word, (3, 2, 1)), word
+
+    # entries the scan cannot read are left to the two-pass test, which words the refusal
+    def guard(x):
+        bijections._require_avoider(x, (3, 2, 1))
+
+    def two_pass(x):
+        _guard(x, (3, 2, 1))
+
+    for odd in ((1.0, 2.0), (2.0, 1.5), (True,), ("a",), (None,), [2, 1, 3], [3, 2, 1]):
+        assert _outcome(guard, odd) == _outcome(two_pass, odd), odd

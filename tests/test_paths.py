@@ -26,9 +26,9 @@ from catschett.objects.paths import (
     serialize_laguerre_history,
     serialize_walk_pair,
     serialize_walk_triple,
-    walk_from_positions,
     walk_pairs,
 )
+from oracles import walk_from_positions
 
 
 def test_dyck_counts():

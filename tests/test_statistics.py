@@ -1,8 +1,12 @@
 """Permutation, tree, and path statistics: frozen examples and cross-formula identities."""
 
+from itertools import permutations
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from catschett import statistics
 from catschett.objects.permutations import avoiders, inverse
 from catschett.statistics import (
     ascending_run_multiset,
@@ -32,6 +36,7 @@ from catschett.statistics import (
     tree_chain_profile,
     weak_excedance_set_shifted,
 )
+import oracles
 from oracles import identity
 
 perms = st.integers(min_value=0, max_value=8).flatmap(
@@ -150,6 +155,27 @@ def test_mark_count_spot_values():
     assert mark_count(star) == 0
     path2 = (((),),)
     assert mark_count(path2) == 1
+
+
+def test_mark_count_on_a_deep_path():
+    # a path 3000 edges deep: only the last internal node has a leaf child
+    path = ()
+    for _ in range(3000):
+        path = (path,)
+    assert mark_count(path) == 1
+
+
+def test_gap_multiset_refuses_positions_outside_the_range():
+    for positions, n in (({0}, 3), ({3}, 3), ({1, 5}, 4), ({1}, 0), ({-1, 2}, 5)):
+        with pytest.raises(ValueError, match=r"positions must lie in"):
+            gap_multiset(positions, n)
+
+
+def test_statistic_sets_match_their_definitions():
+    for n in range(8):
+        for p in permutations(range(1, n + 1)):
+            for name in ("descent_set", "ascent_set", "descent_bottoms"):
+                assert getattr(statistics, name)(p) == getattr(oracles, name)(p), (name, p)
 
 
 def test_dyck_profile_spot_values():

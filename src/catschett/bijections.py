@@ -12,7 +12,6 @@ from catschett.objects.paths import (
 )
 from catschett.objects.permutations import (
     Perm,
-    avoiders,
     avoids,
     baxter_permutations,
     check_permutation,
@@ -133,29 +132,6 @@ def _phi_classic(p: Perm) -> BinaryTree:
     return tree
 
 
-def phi_classic_inv(t: BinaryTree) -> Perm:
-    """Invert the greatest-letter tree map."""
-    # positions follow the in-order walk and values the post-order walk, since
-    # alpha's letters lie below beta's and both below the greatest letter
-    out: list[int] = []
-    if t is not None:
-        _phi_classic_fill(t, out, 0)
-    return tuple(out)
-
-
-def _phi_classic_fill(t: tuple, out: list[int], done: int) -> int:
-    # appends t's letters; done nodes were finished (post-order) before t; returns the new count
-    left, right = t
-    if left is not None:
-        done = _phi_classic_fill(left, out, done)
-    at = len(out)
-    out.append(0)
-    if right is not None:
-        done = _phi_classic_fill(right, out, done)
-    out[at] = done + 1
-    return done + 1
-
-
 # ---------- binary trees and dominated walk pairs ----------
 
 def viennot_v(t: BinaryTree) -> tuple[str, str]:
@@ -180,38 +156,6 @@ def _v_words(t: tuple, mu: list[str], nu: list[str]) -> None:
         mu.append("E")
 
 
-def viennot_v_inv(pair: tuple[str, str]) -> BinaryTree:
-    """Invert the walk-pair tree map."""
-    mu, nu = pair
-    _require(is_walk_pair(mu, nu), "not a dominated walk pair: {}", pair)
-    return _v_parse(mu, nu)
-
-
-def _v_parse(mu: str, nu: str) -> BinaryTree:
-    # The forward map writes mu = mu(a) N mu(b) E and nu = nu(a) N E nu(b), leaving
-    # out each child's part when the child is absent.  A pair ending on N has only a
-    # left child: dominance makes nu end on N too.  Otherwise the root splits after
-    # q letters where both words hold as many east steps and the letters fit: q = 0
-    # with nu opening on E, or mu[q-1] = nu[q-1] = N and nu[q] = E.  No later q fits:
-    # its mu[q-1] = N would lie in mu(b), and there nu leads mu in east steps by its
-    # opening E plus nu(b)'s lead over mu(b), which dominance keeps >= 0.  So the
-    # last q that fits is the split.
-    m = len(mu)
-    if m == 0:
-        return (None, None)
-    if mu[-1] == "N":
-        return (_v_parse(mu[:-1], nu[:-1]), None)
-    lead = 0  # nu's lead over mu in east steps after q letters, read from the end
-    for q in range(m - 1, -1, -1):
-        lead -= (nu[q] == "E") - (mu[q] == "E")
-        if lead == 0 and nu[q] == "E":
-            if q == 0:
-                return (None, _v_parse(mu[:-1], nu[1:]))
-            if mu[q - 1] == nu[q - 1] == "N":
-                return (_v_parse(mu[:q - 1], nu[:q - 1]), _v_parse(mu[q:-1], nu[q + 1:]))
-    raise ValueError(f"walk pair has no tree preimage: {(mu, nu)}")
-
-
 def theta(p: Perm) -> tuple[str, str]:
     """Map a 231-avoider to a dominated walk pair through the greatest-letter tree."""
     tree = phi_classic(p)
@@ -221,8 +165,23 @@ def theta(p: Perm) -> tuple[str, str]:
 
 
 def theta_inv(pair: tuple[str, str]) -> Perm:
-    """Invert the walk-pair map on 231-avoiders."""
-    return phi_classic_inv(viennot_v_inv(pair))
+    """Invert the walk-pair map on 231-avoiders by one stack pass."""
+    mu, nu = pair
+    _require(is_walk_pair(mu, nu), "not a dominated walk pair: {}", pair)
+    # A stack fed 1..n writes w = p^-1.  The push of v is followed by another
+    # push exactly when v is in DES(p), the east set of nu, and the i-th letter
+    # written by another pop exactly when i is in DES(p^-1), the east set of mu.
+    n = len(nu) + 1
+    stack: list[int] = []
+    w: list[int] = []
+    for v in range(1, n + 1):
+        stack.append(v)
+        if v < n and nu[v - 1] == "E":
+            continue
+        w.append(stack.pop())
+        while len(w) < n and mu[len(w) - 1] == "E":
+            w.append(stack.pop())
+    return inverse(w)
 
 
 # ---------- binary trees and Dyck paths ----------
@@ -399,12 +358,11 @@ def _simion_schmidt(p: Perm, pick_largest: bool) -> Perm:
     free: list[int] = []
     head = 0  # the queue's front; the stack pops from the back and keeps it at 0
     cur_max = 0
+    # at 0-based index i of a permutation, i + 1 <= cur_max leaves cur_max - i >= 1 free values
     for i, v in enumerate(p):
         if v > cur_max:
             free += range(cur_max + 1, v)
             cur_max = v
-        elif head == len(free):
-            raise ValueError(f"no available value below {cur_max} at position {i + 1}")
         elif pick_largest:
             out[i] = free.pop()
         else:
@@ -638,22 +596,16 @@ def _gamma(p: Perm) -> tuple[str, str, str]:
     return "".join(top), "".join(middle), "".join(bottom)
 
 
-# The largest sizes the walk-triple lookups cover: gamma_inv's table filters all n!
-# permutations, and gamma_theta's holds every 231-avoider of one size.
+# The largest size the walk-triple lookup covers: its table filters all n! permutations.
 GAMMA_INV_MAX_SIZE = 9
-GAMMA_THETA_MAX_SIZE = 12
 
 
-# One walk-triple table per family and size.  The families hold only Baxter
-# permutations (231-avoiders are Baxter), so the table runs the unguarded core.
-
-def _avoiders_231(n: int):
-    return avoiders(n, (2, 3, 1))
-
+# One walk-triple table per size.  It holds only Baxter permutations, so it runs
+# the unguarded core.
 
 @lru_cache(maxsize=2)
-def _gamma_table(family, n: int) -> dict[tuple[str, str, str], Perm]:
-    return {_gamma(p): p for p in family(n)}
+def _gamma_table(n: int) -> dict[tuple[str, str, str], Perm]:
+    return {_gamma(p): p for p in baxter_permutations(n)}
 
 
 def gamma_inv(triple: tuple[str, str, str]) -> Perm:
@@ -663,7 +615,7 @@ def gamma_inv(triple: tuple[str, str, str]) -> Perm:
     n = len(middle) + 1
     _require(n <= GAMMA_INV_MAX_SIZE, "walk-triple lookup covers sizes up to {}, got size {}",
              GAMMA_INV_MAX_SIZE, n)
-    table = _gamma_table(baxter_permutations, n)
+    table = _gamma_table(n)
     key = (top, middle, bottom)
     _require(key in table, "not in the walk-triple image: {}", triple)
     return table[key]
@@ -673,13 +625,21 @@ def gamma_theta(p: Perm) -> Perm:
     """Carry a 231-avoider through the walk-pair map into the walk-triple preimage."""
     _require_avoider(p, (2, 3, 1))
     _require(p, "the empty permutation has no walk triple")
-    _require(len(p) <= GAMMA_THETA_MAX_SIZE,
-             "restricted walk-triple lookup covers sizes up to {}, got size {}",
-             GAMMA_THETA_MAX_SIZE, len(p))
     mu, nu = viennot_v(_phi_classic(p))  # theta, guarded above
-    # over 231-avoiders the bottom walk repeats the middle one, so an avoider
-    # whose bottom walk differed could never be returned
-    table = _gamma_table(_avoiders_231, len(p))
-    key = (mu, nu, nu)
-    _require(key in table, "walk pair escapes the restricted image: {}", p)
-    return table[key]
+    # The 231-avoider q with walk triple (mu, nu, nu) is written as theta_inv
+    # writes one, a stack fed 1..n writing w = q^-1, but mu is the top walk: a
+    # popped value u is followed by another pop exactly when u - 1 is in
+    # MDT(q^-1), the east set of mu.
+    n = len(p)
+    stack: list[int] = []
+    w: list[int] = []
+    for v in range(1, n + 1):
+        stack.append(v)
+        if v < n and nu[v - 1] == "E":
+            continue
+        u = stack.pop()
+        w.append(u)
+        while u > 1 and mu[u - 2] == "E":
+            u = stack.pop()
+            w.append(u)
+    return inverse(w)

@@ -1,12 +1,13 @@
 """Bijections: frozen images, round-trips, and statistic transports."""
 
 import hashlib
+import random
 from functools import lru_cache
 from itertools import product
 
 import pytest
 
-from catschett import bijections, config
+from catschett import bijections
 from catschett.bijections import (
     eta,
     eta_inv,
@@ -20,7 +21,6 @@ from catschett.bijections import (
     phi_cap,
     phi_cap_inv,
     phi_classic,
-    phi_classic_inv,
     psi_cap,
     psi_cap_inv,
     psi_fz,
@@ -38,7 +38,6 @@ from catschett.bijections import (
     vartheta,
     vartheta_inv,
     viennot_v,
-    viennot_v_inv,
 )
 from catschett.objects.paths import (
     dyck_composition,
@@ -112,19 +111,22 @@ def test_viennot_round_trip():
     for n in range(1, 11):
         images = set()
         for t in binary_trees(n):
-            pair = viennot_v(t)
-            assert viennot_v_inv(pair) == t
-            images.add(pair)
-        pairs = set(walk_pairs(n))
-        assert images == pairs
-        for pair in pairs:
-            assert viennot_v(viennot_v_inv(pair)) == pair
+            images.add(viennot_v(t))
+        assert images == set(walk_pairs(n))
 
 
-def test_phi_classic_round_trip():
-    for n in range(8):
+def test_theta_inv_round_trips_every_walk_pair():
+    for n in range(1, 11):
+        for pair in walk_pairs(n):
+            assert theta(theta_inv(pair)) == pair
         for p in avoiders(n, (2, 3, 1)):
-            assert phi_classic_inv(phi_classic(p)) == p
+            assert theta_inv(theta(p)) == p
+
+
+def test_theta_inv_writes_long_monotone_permutations():
+    n = 3000
+    assert theta_inv(("N" * (n - 1), "N" * (n - 1))) == identity(n)
+    assert theta_inv(("E" * (n - 1), "E" * (n - 1))) == tuple(range(n, 0, -1))
 
 
 def test_tau_frozen_image():
@@ -281,17 +283,34 @@ def test_gamma_theta_contract():
             assert modified_descent_tops(inverse(q)) == descent_set(inverse(p))
 
 
-def test_gamma_theta_refuses_sizes_above_its_bound(monkeypatch):
-    # every size the packaged config lets cor2.6 reach is covered, and a larger
-    # one is refused before the restricted table lists a single avoider
-    def listed(n, pattern):
-        raise AssertionError(f"avoiders({n}, {pattern}) called")
+def test_gamma_theta_matches_the_restricted_lookup():
+    # the restricted preimage of (mu, nu, nu), looked up over every 231-avoider of the size
+    for n in range(1, 11):
+        lookup = {bijections._gamma(q): q for q in avoiders(n, (2, 3, 1))}
+        for p in avoiders(n, (2, 3, 1)):
+            mu, nu = theta(p)
+            assert gamma_theta(p) == lookup[mu, nu, nu], p
 
-    size = bijections.GAMMA_THETA_MAX_SIZE + 1
-    assert size > config.enumeration_bound()
-    monkeypatch.setattr(bijections, "avoiders", listed)
-    with pytest.raises(ValueError, match=f"up to {size - 1}, got size {size}$"):
-        gamma_theta(tuple(range(1, size + 1)))
+
+def _random_dyck_word(rng, n):
+    word, height = [], 0
+    for remaining in range(2 * n, 0, -1):
+        up = height < remaining and (height == 0 or rng.random() < 0.5)
+        word.append("E" if up else "N")
+        height += 1 if up else -1
+    return "".join(word)
+
+
+def test_gamma_theta_contract_on_size_40_avoiders():
+    # avoiders built from seeded random Dyck words, a size no enumeration reaches
+    from catschett.statistics import modified_descent_tops
+    rng = random.Random(2024)
+    for _ in range(50):
+        p = upsilon_inv(tau_inv(_random_dyck_word(rng, 40)))
+        q = gamma_theta(p)
+        assert avoids(q, (2, 3, 1)), p
+        assert descent_set(q) == descent_set(p), p
+        assert modified_descent_tops(inverse(q)) == descent_set(inverse(p)), p
 
 
 def _avoiding(pattern):
@@ -333,8 +352,6 @@ MAP_DIGESTS = {
                     "37d975db72a0011d7ba5a41919250f3bb761a2c696a64594af66b71221927c7a"),
     "phi_classic": (A231, phi_classic, PERM, BTREE, 9,
                     "cb45a463b14879580d3b8a26f6610636284b2780c836ffa328bcdf9c4fd85407"),
-    "phi_classic_inv": (binary_trees, phi_classic_inv, BTREE, PERM, 9,
-                        "6d6bf68ed023b0a9d9596379c1945b38ff1591982f043f62c0af4de4058db465"),
     "viennot_v": (binary_trees, viennot_v, BTREE, PAIR, 9,
                   "c8551e350156a2adf4b6e59afb9098ad59f8d8e5232d2504e458b3c254d3f4f2"),
     "theta": (A231_1, theta, PERM, PAIR, 9,

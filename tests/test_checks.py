@@ -347,12 +347,18 @@ INJECTED_DEFECTS = [
      "mnd distribution deviates from closed form at n=4", "n=4, k=2: enumerated 4, closed form 3"),
     ("thm1.2ii", 5, "checks", "stat_table", _bump("mndmna231", 4, (9, 0, 0)),
      "mnd distribution total wrong at n=4", "n=4: total 15, expected 14"),
+    ("thm1.2ii", 5, "checks", "refined_catalan",
+     lambda f: lambda n, k: f(n, k) + ((n, k) == (3, 1)),
+     "closed form fails spot value n=3, k=1", "refined_catalan(3, 1) = 5, expected 4"),
     ("thm1.3", 4, "checks", "mnd", lambda f: lambda p: f(p) + (p == (2, 1, 3)),
      "(mnd, mna o inv) distribution differs from tree (X, Y) at n=3",
      "n=3: [((0, 1), 1), ((1, 0), 1), ((1, 1), 2), ((2, 1), 1)] vs "
      "[((0, 1), 1), ((1, 0), 1), ((1, 1), 3)]"),
     ("thm1.3", 4, "checks", "upsilon", lambda f: lambda p: f((1, 2, 3)) if p == (1, 3, 2) else f(p),
      "descending-run multiset differs from left-chain orders at n=3", "1 3 2"),
+    ("thm1.3", 4, "checks", "right_chain_orders",
+     lambda f: lambda t: f(t) + (1,) if t == ((None, None), None) else f(t),
+     "inverse ascending-run multiset differs from right-chain orders at n=2", "2 1"),
     ("thm1.3", 4, "checks", "catalan_schett", _extra_term("perm231", 3),
      "tree and 231-avoider polynomial routes disagree at n=3", None),
     ("lem2.18", 4, "checks", "idr", lambda f: lambda p: f(p) + (p == (2, 1, 3)),
@@ -362,6 +368,8 @@ INJECTED_DEFECTS = [
      "inverse descent bottoms differ from descents at n=3", "2 1 3"),
     ("cor2.6", 4, "checks", "gamma_theta", lambda f: lambda p: (1, 2, 3) if p == (2, 1, 3) else f(p),
      "composite map does not preserve descents at n=3", "2 1 3"),
+    ("cor2.6", 4, "checks", "modified_descent_tops", _add(9, lambda p: p == (2, 1, 3)),
+     "shifted descent tops of the inverse miss inverse descents at n=3", "2 1 3"),
     ("cor2.6", 4, "checks", "gamma", lambda f: lambda b: f((1, 2, 3)) if b == (1, 3, 2) else f(b),
      "walk-triple map not injective at n=3", "1 2 3 and 1 3 2"),
     ("schett-routes", 4, "checks", "catalan_schett", _extra_term("perm321", 3),
